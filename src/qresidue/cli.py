@@ -3,20 +3,21 @@
 Human-readable text by default; --json emits a single envelope object
 {schema_version, command, input, result, timing_ms} on stdout.  Exit codes:
 0 for success/Yes, 1 for a definitive No (or disagreements), 2 for usage and
-guard errors.
+guard errors, 3 for an internal error (a failed self-check), which is never
+reported as a verdict.
 """
 
 import argparse
 import json
 import sys
 import time
-from itertools import product
+from itertools import islice, product
 
 from . import criterion, primescan
 from .arith import is_probable_prime
-from .covering import GuardError, covers, minimal_cover, synthesize_covering
+from .covering import GuardError, synthesize_covering
 from .criterion import Verdict, decide
-from .profiles import QInput, build_profile, hyperplanes_of
+from .profiles import QInput
 
 SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
@@ -56,28 +57,39 @@ def _profile_payload(profile):
     }
 
 
-def _assignment_digest(result, q, k):
-    digest = {",".join(map(str, v)): i for v, i in sorted(result.assignment.items())}
-    return {"points_assigned": len(result.assignment), "assignment": digest}
+def _assignment_digest(covering):
+    # The assignment lists the nonzero points in lexicographic order, which is
+    # the order product() yields their keys in.
+    digits = [str(x) for x in range(covering.q)]
+    keys = islice(map(",".join, product(digits, repeat=covering.k)), 1, None)
+    assignment = covering.assignment
+    digest = dict(zip(keys, assignment.values()))
+    return {"points_assigned": len(assignment), "assignment": digest}
+
+
+def _trivial_payload(decision, qinput):
+    cert = decision.trivial
+    return {
+        "verdict": decision.verdict.value,
+        "trivial_certificate": {
+            "index": cert.index,
+            "element": qinput.elements[cert.index],
+            "root": cert.root,
+        },
+    }
 
 
 def cmd_decide(args):
     qinput = QInput(args.q, tuple(args.set))
     decision = decide(qinput)
-    result = {"verdict": decision.verdict.value}
     if decision.verdict is Verdict.TRIVIALLY_YES:
-        cert = decision.trivial
-        result["trivial_certificate"] = {
-            "index": cert.index,
-            "element": qinput.elements[cert.index],
-            "root": cert.root,
-        }
-        return 0, result
-    result["profile"] = _profile_payload(decision.profile)
+        return 0, _trivial_payload(decision, qinput)
+    result = {
+        "verdict": decision.verdict.value,
+        "profile": _profile_payload(decision.profile),
+    }
     if decision.verdict is Verdict.YES:
-        result["covering"] = _assignment_digest(
-            decision.covering, args.q, decision.profile.k
-        )
+        result["covering"] = _assignment_digest(decision.covering)
         return 0, result
     result["uncovered_witness"] = list(decision.uncovered)
     return 1, result
@@ -86,17 +98,10 @@ def cmd_decide(args):
 def cmd_certificate(args):
     qinput = QInput(args.q, tuple(args.set))
     decision = decide(qinput)
-    result = {"verdict": decision.verdict.value}
     if decision.verdict is Verdict.TRIVIALLY_YES:
-        cert = decision.trivial
-        result["trivial_certificate"] = {
-            "index": cert.index,
-            "element": qinput.elements[cert.index],
-            "root": cert.root,
-        }
-        return 0, result
+        return 0, _trivial_payload(decision, qinput)
     profile = decision.profile
-    result["profile"] = _profile_payload(profile)
+    result = {"verdict": decision.verdict.value, "profile": _profile_payload(profile)}
     if decision.verdict is Verdict.YES:
         c = args.c if args.c is not None else [1] * profile.l
         if len(c) != profile.l:
@@ -359,6 +364,9 @@ def main(argv=None) -> int:
     except (UsageError, GuardError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -371,8 +379,8 @@ def main(argv=None) -> int:
         "timing_ms": round(elapsed_ms, 3),
     }
     if args.json:
-        json.dump(envelope, sys.stdout, default=str)
-        print()
+        # dumps, not dump: only the one-shot encoder runs in C
+        print(json.dumps(envelope, default=str))
     else:
         print(f"command: {args.command}")
         _print_text(result)

@@ -1,7 +1,20 @@
-"""Hyperplane coverings of F_q^k: coverage tests, minimal covers, witnesses."""
+"""Hyperplane coverings of F_q^k: coverage tests, minimal covers, witnesses.
 
+Coverage is decided on bitmasks.  The points of F_q^k are numbered in
+lexicographic order, first coordinate most significant, and point j is bit j
+of a Python int.  zero_mask() builds the point set of one hyperplane as such a
+mask.  A family covers F_q^k iff the OR of its masks has all q^k bits set; its
+lexicographically first gap is the lowest zero bit of the OR, and the number
+of uncovered points is q^k minus the popcount.
+"""
+
+import sys
+from array import array
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property, reduce
+from itertools import islice, product
+from operator import or_
 
 POINT_ENUMERATION_LIMIT = 10**8
 
@@ -30,13 +43,140 @@ class Hyperplane:
         return sum(a * b for a, b in zip(self.normal, v)) % self.q == 0
 
 
-@dataclass(frozen=True)
-class CoveringResult:
-    """Either a full point-to-hyperplane assignment or an uncovered witness."""
+def zero_mask(normal, q) -> int:
+    """Bitmask of {x in F_q^k : normal . x = 0}, where k = len(normal) >= 1.
 
-    covered: bool
-    witness: tuple[int, ...] | None
-    assignment: dict[tuple[int, ...], int] | None
+    Bit j stands for the j-th point of product(range(q), repeat=k).  The mask
+    is built from the last coordinate forwards.  classes[r] holds the suffixes
+    u (the trailing coordinates seen so far, q^s of them) with
+    (suffix of normal) . u = r.  Prepending a coordinate with coefficient c
+    lays q of these masks side by side: block x, for the new coordinate = x,
+    is the class r - c*x.  The first coordinate needs only the class r = 0.
+    """
+    classes = [1] + [0] * (q - 1)
+    size = 1
+    for c in reversed(normal[1:]):
+        classes = [
+            sum(classes[(r - c * x) % q] << (x * size) for x in range(q))
+            for r in range(q)
+        ]
+        size *= q
+    return sum(classes[-normal[0] * x % q] << (x * size) for x in range(q))
+
+
+def _point(j, k, q) -> tuple[int, ...]:
+    """The j-th point of F_q^k in lexicographic order."""
+    digits = []
+    for _ in range(k):
+        j, d = divmod(j, q)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _first_containing(masks, n) -> array:
+    """Entry j: index of the first mask with bit j set (0 where none has it).
+
+    Each mask's own bits, those no earlier mask has, are spread to one 32-bit
+    cell per point and scaled by the mask's index; the cells of different
+    masks are disjoint, so their sum holds every point's index.
+    """
+    remaining = (1 << n) - 1
+    cells = 0
+    for i, mask in enumerate(masks):
+        own = mask & remaining
+        remaining ^= own
+        if i and own:
+            spread = format(own, f"0{n}b").encode().translate(_BIT_BYTES)
+            # bytes 0/1 -> code points 0/1 -> big-endian 32-bit cells
+            cells += i * int.from_bytes(spread.decode("latin-1").encode("utf-32-be"), "big")
+    first = array("I", cells.to_bytes(4 * n, "little"))
+    if sys.byteorder == "big":
+        first.byteswap()
+    return first
+
+
+class PointAssignment(Mapping):
+    """Read-only map from each nonzero point of F_q^k to a hyperplane index.
+
+    Keys come in lexicographic order and are generated, not stored.  The
+    index of every point is computed from the zero masks on first lookup.
+    """
+
+    def __init__(self, masks, k, q):
+        self._masks, self._k, self._q = masks, k, q
+
+    @cached_property
+    def _first(self) -> array:
+        return _first_containing(self._masks, self._q**self._k)
+
+    def __len__(self):
+        return self._q**self._k - 1
+
+    def __iter__(self):
+        return islice(product(range(self._q), repeat=self._k), 1, None)
+
+    def __getitem__(self, v):
+        if not (
+            isinstance(v, tuple)
+            and len(v) == self._k
+            and all(isinstance(x, int) and 0 <= x < self._q for x in v)
+            and any(v)
+        ):
+            raise KeyError(v)
+        j = 0
+        for x in v:
+            j = j * self._q + x
+        return self._first[j]
+
+    def values(self):
+        return _Indices(self)
+
+
+class _Indices(ValuesView):
+    def __iter__(self):
+        return islice(self._mapping._first, 1, None)
+
+
+class CoveringResult:
+    """Whether a hyperplane family covers F_q^k, with an assignment or a witness.
+
+    `covered` is settled on construction.  `witness`, the lexicographically
+    first uncovered point, is None when covered; `assignment`, each nonzero
+    point to the first hyperplane (in input order) containing it, is None when
+    not.  Both are derived on first use from the zero masks, which are built
+    at most once.
+    """
+
+    def __init__(self, hyperplanes, k, q):
+        self.hyperplanes = tuple(hyperplanes)
+        self.k, self.q = k, q
+        # Each hyperplane holds q^(k-1) points, the origin among them, so q of
+        # them leave at least q - 1 points uncovered.
+        self.covered = len(self.hyperplanes) > q and self.union == (1 << q**k) - 1
+
+    @cached_property
+    def masks(self) -> list[int]:
+        return [zero_mask(h.normal, self.q) for h in self.hyperplanes]
+
+    @cached_property
+    def union(self) -> int:
+        return reduce(or_, self.masks, 0)
+
+    @cached_property
+    def witness(self) -> tuple[int, ...] | None:
+        if self.covered:
+            return None
+        gap = ~self.union & (self.union + 1)
+        return _point(gap.bit_length() - 1, self.k, self.q)
+
+    @cached_property
+    def assignment(self) -> PointAssignment | None:
+        if not self.covered:
+            return None
+        return PointAssignment(self.masks, self.k, self.q)
 
 
 def _check_family(hyperplanes, k, q):
@@ -48,48 +188,33 @@ def _check_family(hyperplanes, k, q):
 
 
 def covers(hyperplanes, k, q) -> CoveringResult:
-    """Enumerate all q^k points lexicographically; full assignment or first gap.
+    """Do the hyperplanes cover F_q^k?  Full assignment or first gap on demand.
 
     An empty family covers nothing: even the zero vector has no containing
     subspace, so the witness is then (0, ..., 0).
     """
     _check_family(hyperplanes, k, q)
-    assignment = {}
-    zero = (0,) * k
-    for v in product(range(q), repeat=k):
-        idx = next((i for i, h in enumerate(hyperplanes) if h.contains(v)), None)
-        if idx is None:
-            return CoveringResult(False, v, None)
-        if v != zero:
-            assignment[v] = idx
-    return CoveringResult(True, None, assignment)
+    return CoveringResult(hyperplanes, k, q)
 
 
 def uncovered_count(hyperplanes, k, q) -> int:
     """Number of vectors of F_q^k lying on none of the hyperplanes."""
     _check_family(hyperplanes, k, q)
-    if not hyperplanes:
-        return q**k
-    return sum(
-        1
-        for v in product(range(q), repeat=k)
-        if not any(h.contains(v) for h in hyperplanes)
-    )
+    return q**k - CoveringResult(hyperplanes, k, q).union.bit_count()
 
 
 def minimal_cover(hyperplanes, k, q) -> list[int] | None:
     """Minimum-cardinality covering sub-family, by exact branch and bound.
 
     Returns indices into the input list, or None if the family does not cover.
-    For k >= 2 any cover has size >= q+1, which serves as a stopping bound.
+    Only k >= 2 can be covered, and then any cover has size >= q+1, which
+    serves as a stopping bound.
     """
     result = covers(hyperplanes, k, q)
     if not result.covered:
         return None
-    points = [v for v in product(range(q), repeat=k) if any(x for x in v)]
-    point_sets = [frozenset(p for p in points if h.contains(p)) for h in hyperplanes]
-    universe = frozenset(points)
-    lower_bound = q + 1 if k >= 2 else 1
+    masks = result.masks
+    universe = (1 << q**k) - 1
     best = list(range(len(hyperplanes)))
 
     def branch(chosen, covered):
@@ -100,17 +225,16 @@ def minimal_cover(hyperplanes, k, q) -> list[int] | None:
             return
         if len(chosen) + 1 >= len(best):
             return
-        if len(best) == lower_bound:
+        if len(best) == q + 1:
             return
         # branch on the lexicographically first uncovered point
-        target = min(universe - covered)
-        for i, ps in enumerate(point_sets):
-            if target in ps and i not in chosen:
-                branch(chosen + [i], covered | ps)
+        target = ~covered & (covered + 1)
+        for i, mask in enumerate(masks):
+            if mask & target and i not in chosen:
+                branch(chosen + [i], covered | mask)
 
-    branch([], frozenset())
+    branch([], 1)  # the zero vector lies on every hyperplane
     return best
-
 
 def synthesize_covering(k, q) -> list[Hyperplane]:
     """The pencil covering of F_q^k by q+1 hyperplanes.

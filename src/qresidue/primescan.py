@@ -155,6 +155,8 @@ def census(B, q, bound) -> DensityReport:
     """Scan all primes <= bound and tabulate failure density vs the prediction."""
     if bound < 100:
         raise ValueError("bound must be >= 100")
+    # first, so that a GuardError comes before the scan, not after it
+    predicted = predicted_failure_density(B, q)
     prod = 1
     for b in B:
         prod *= b
@@ -179,7 +181,7 @@ def census(B, q, bound) -> DensityReport:
         failing_count=len(failing),
         failing_primes=tuple(failing[:_FAILING_LIST_CAP]),
         empirical_density=empirical,
-        predicted_density=predicted_failure_density(B, q),
+        predicted_density=predicted,
     )
 
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from qresidue import criterion
 from qresidue.cli import main
 
 
@@ -132,3 +135,15 @@ def test_text_output_default(capsys):
     assert code == 1
     assert "verdict: no" in out
     assert "uncovered_witness: [1, 1]" in out
+
+
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError])
+def test_internal_error_is_not_a_verdict(capsys, monkeypatch, error):
+    def broken(profile, c):
+        raise error("self-check failed")
+
+    monkeypatch.setattr(criterion, "skalba_solve", broken)
+    code, out, err = run(capsys, "--json", "certificate", "--q", "3", "--set", "2,3,6,12")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and "self-check failed" in err

@@ -11,11 +11,38 @@ from qresidue.covering import (
     normalize_hyperplane,
     synthesize_covering,
     uncovered_count,
+    zero_mask,
 )
+from qresidue.fqlinalg import rref
 
 
 def planes(normals, q):
     return [Hyperplane(n, q) for n in normals]
+
+
+# Reference: plain enumeration of all q^k points, the route the bitmask
+# engine replaces.
+
+
+def reference_covers(hyperplanes, k, q):
+    """(covered, first gap or None, assignment or None), point by point."""
+    assignment = {}
+    zero = (0,) * k
+    for v in product(range(q), repeat=k):
+        idx = next((i for i, h in enumerate(hyperplanes) if h.contains(v)), None)
+        if idx is None:
+            return False, v, None
+        if v != zero:
+            assignment[v] = idx
+    return True, None, assignment
+
+
+def reference_uncovered_count(hyperplanes, k, q):
+    return sum(
+        1
+        for v in product(range(q), repeat=k)
+        if not any(h.contains(v) for h in hyperplanes)
+    )
 
 
 F32_COVER = [(1, 0), (0, 1), (1, 1), (2, 1)]
@@ -155,3 +182,104 @@ def test_uncovered_count():
     assert uncovered_count(planes(F32_COVER, 3), 2, 3) == 0
     assert uncovered_count(planes([(1, 0), (0, 1), (1, 1)], 3), 2, 3) == 2
     assert uncovered_count(planes([(1,)], 3), 1, 3) == 2
+
+
+def test_zero_mask_matches_enumeration():
+    rng = random.Random(3)
+    for _ in range(300):
+        q = rng.choice([3, 5, 7])
+        k = rng.randint(1, 4)
+        n = tuple(rng.randrange(q) for _ in range(k))
+        if not any(n):
+            continue
+        h = Hyperplane(n, q)
+        expected = sum(
+            1 << j for j, v in enumerate(product(range(q), repeat=k)) if h.contains(v)
+        )
+        assert zero_mask(n, q) == expected
+
+
+def _random_family(q, k, rng):
+    """Random normals, half the time mixed into a transformed pencil so that it covers."""
+    normals = []
+    if k >= 2 and rng.random() < 0.5:
+        while True:
+            m = [[rng.randrange(q) for _ in range(k)] for _ in range(k)]
+            if rref(m, q)[1] == k:
+                break
+        normals = [
+            tuple(sum(m[i][j] * n[j] for j in range(k)) % q for i in range(k))
+            for n in (h.normal for h in synthesize_covering(k, q))
+        ]
+    for _ in range(rng.randint(0, q + 2)):
+        n = tuple(rng.randrange(q) for _ in range(k))
+        if any(n):
+            normals.append(n)
+    rng.shuffle(normals)
+    return planes(normals, q)
+
+
+@pytest.mark.parametrize("q,k_max", [(3, 7), (5, 4), (7, 3)])
+def test_bitmask_engine_matches_enumeration(q, k_max):
+    rng = random.Random(q * 1000 + k_max)
+    seen = set()
+    for trial in range(120):
+        k = rng.randint(1, k_max)
+        hs = [] if trial < k_max else _random_family(q, k, rng)
+        covered, witness, assignment = reference_covers(hs, k, q)
+        result = covers(hs, k, q)
+        assert result.covered == covered
+        assert result.witness == witness
+        if covered:
+            assert list(result.assignment.items()) == list(assignment.items())
+            assert list(result.assignment.values()) == list(assignment.values())
+            assert result.assignment == assignment
+            assert (0,) * k not in result.assignment
+            assert (q,) + (0,) * (k - 1) not in result.assignment
+        else:
+            assert result.assignment is None
+        assert uncovered_count(hs, k, q) == reference_uncovered_count(hs, k, q)
+        seen.add(covered)
+    assert seen == {True, False}
+
+
+def test_empty_family_witness_is_origin():
+    for q, k in [(3, 1), (3, 4), (5, 3), (7, 2)]:
+        assert covers([], k, q).witness == (0,) * k
+        assert uncovered_count([], k, q) == q**k
+
+
+@pytest.mark.parametrize("q,k", [(3, 2), (3, 3), (5, 2)])
+def test_at_most_q_hyperplanes_never_cover(q, k):
+    # Every family up to scalar multiples; repeating a hyperplane adds nothing.
+    projective = {
+        normalize_hyperplane(h).normal
+        for h in planes([v for v in product(range(q), repeat=k) if any(v)], q)
+    }
+    for size in range(q + 1):
+        for subset in combinations(sorted(projective), size):
+            hs = planes(subset, q)
+            assert not covers(hs, k, q).covered
+            assert uncovered_count(hs, k, q) >= q - 1
+
+
+def test_uncovered_count_matches_crapo_rota():
+    # Critical problem (Crapo & Rota 1970): with r the rank of the normals E,
+    # U = q^(k-r) * sum over X subset of E of (-1)^|X| q^(r - rank X).
+    rng = random.Random(41)
+    for _ in range(60):
+        q = rng.choice([3, 5, 7])
+        k = rng.randint(1, 4)
+        normals = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(rng.randint(0, 6))]
+        normals = [n for n in normals if any(n)]
+
+        def rank(rows):
+            return rref([list(n) for n in rows], q)[1] if rows else 0
+
+        r = rank(normals)
+        total = sum(
+            (-1) ** size * q ** (r - rank(subset))
+            for size in range(len(normals) + 1)
+            for subset in combinations(normals, size)
+        )
+        assert uncovered_count(planes(normals, q), k, q) == q ** (k - r) * total

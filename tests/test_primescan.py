@@ -166,3 +166,16 @@ def test_qth_root_high_q_valuation():
                 assert pow(r, q, p) == b % p
             else:
                 assert pow(b, (p - 1) // q, p) != 1
+
+
+def test_census_guard_fires_before_the_scan(monkeypatch):
+    from qresidue import primescan
+    from qresidue.covering import GuardError
+
+    def no_scan(bound):
+        raise AssertionError("census scanned primes before its guard")
+
+    monkeypatch.setattr(primescan, "primes_up_to", no_scan)
+    eighteen_primes = [p for p in primes_up_to(67) if p != 3]  # 3^18 points
+    with pytest.raises(GuardError):
+        census(eighteen_primes, 3, 2 * 10**6)
