@@ -44,7 +44,7 @@ def _mr_witness(n, a):
     return True
 
 
-def is_probable_prime(n: int, seed: int | None = None) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Primality test: deterministic below ~3.3e24, else 64 Miller-Rabin rounds."""
     if n < 2:
         return False
@@ -55,7 +55,7 @@ def is_probable_prime(n: int, seed: int | None = None) -> bool:
             return False
     if n < _MR_DETERMINISTIC_BOUND:
         return not any(_mr_witness(n, a) for a in _MR_WITNESSES)
-    rng = random.Random(n if seed is None else seed)
+    rng = random.Random(n)
     return not any(
         _mr_witness(n, rng.randrange(2, n - 1)) for _ in range(_MR_RANDOM_ROUNDS)
     )
@@ -94,7 +94,7 @@ def _brent_rho(n, rng):
             return g
 
 
-def factorize(n: int, seed: int = 0) -> FactoredInteger:
+def factorize(n: int) -> FactoredInteger:
     """Exact factorization: trial division to 10^6, then Brent-Pollard rho."""
     if n == 0:
         raise ValueError("cannot factorize 0")
@@ -112,7 +112,7 @@ def factorize(n: int, seed: int = 0) -> FactoredInteger:
             m //= d
         d += 2
     if m > 1:
-        rng = random.Random(seed ^ m)
+        rng = random.Random(m)
         stack = [m]
         while stack:
             v = stack.pop()
@@ -154,11 +154,3 @@ def is_perfect_qth_power(b: int, q: int) -> bool:
     if q % 2 == 0 or not is_probable_prime(q):
         raise ValueError("q must be an odd prime")
     return integer_qth_root(abs(b), q) is not None
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exp, modulus)

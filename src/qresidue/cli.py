@@ -21,6 +21,7 @@ from .profiles import QInput
 
 SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
+ORACLE_INSTANCE_LIMIT = 10**6
 
 
 class UsageError(ValueError):
@@ -225,19 +226,22 @@ def cmd_synthesize(args):
     elif args.twists is not None:
         import random
 
+        count = int(args.twists)
+        _check_count("--twists", count, TWIST_ORBIT_LIMIT)
         rng = random.Random(args.seed)
         result["twists"] = [
-            [b ** rng.randint(1, args.q - 1) for b in B] for _ in range(int(args.twists))
+            [b ** rng.randint(1, args.q - 1) for b in B] for _ in range(count)
         ]
     return 0, result
 
 
 def cmd_oracle_check(args):
     if args.mode == "exhaustive":
-        if (args.q**args.k_max - 1) ** args.l_max > 10**6:
-            raise GuardError("exhaustive instance space exceeds 10^6")
+        if (args.q**args.k_max - 1) ** args.l_max > ORACLE_INSTANCE_LIMIT:
+            raise GuardError(f"exhaustive instance space exceeds {ORACLE_INSTANCE_LIMIT}")
         checked, bad = criterion.oracle_check_exhaustive(args.q, args.k_max, args.l_max)
     else:
+        _check_count("--trials", args.trials, ORACLE_INSTANCE_LIMIT)
         checked, bad = criterion.oracle_check_random(
             args.q, args.k_max, args.l_max, args.trials, args.seed
         )
@@ -255,6 +259,13 @@ def _check_bound(bound, minimum):
         raise UsageError(f"bound must be >= {minimum}")
     if bound > primescan.SCAN_BOUND_LIMIT:
         raise UsageError(f"bound must be <= {primescan.SCAN_BOUND_LIMIT}")
+
+
+def _check_count(flag, count, limit):
+    if count < 1:
+        raise UsageError(f"{flag} must be >= 1")
+    if count > limit:
+        raise GuardError(f"{flag} {count} exceeds limit {limit}")
 
 
 def _print_text(result):

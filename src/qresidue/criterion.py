@@ -98,8 +98,9 @@ def skalba_oracle(profile: ResidueProfile) -> bool:
 def skalba_solve(profile: ResidueProfile, c) -> SkalbaCertificate | None:
     """Constructive certificate for one twist vector c, or None if it fails.
 
-    Picks f in Null(M(c)) with nonzero coordinate sum (scanning the basis, then
-    pairwise sums) and verifies the integer identity exactly.
+    Picks a basis vector f of Null(M(c)) with nonzero coordinate sum and
+    verifies the integer identity exactly.  The coordinate sum is linear, so
+    if every basis vector sums to 0 mod q, so does all of Null(M(c)).
     """
     _check_c(profile, c)
     q = profile.q
@@ -107,15 +108,6 @@ def skalba_solve(profile: ResidueProfile, c) -> SkalbaCertificate | None:
         return None
     basis = fqlinalg.null_space_basis(twisted_matrix(profile, c), q)
     f = next((v for v in basis if sum(v) % q != 0), None)
-    if f is None:
-        f = next(
-            (
-                [(a + b) % q for a, b in zip(basis[0], v)]
-                for v in basis[1:]
-                if sum(x + y for x, y in zip(basis[0], v)) % q != 0
-            ),
-            None,
-        )
     if f is None:
         raise RuntimeError("no null vector with nonzero sum despite condition holding")
     prod = 1
@@ -185,10 +177,17 @@ def profile_from_columns(q, columns) -> ResidueProfile:
     return ResidueProfile(q, tuple(primes), exponents, provenance, tuple(qfree))
 
 
-def _agreement(profile):
-    covering = covers(hyperplanes_of(profile), profile.k, profile.q).covered
-    oracle = skalba_oracle(profile)
-    return covering, oracle
+def _compare_routes(q, instances):
+    """(instances checked, column tuples on which covering and oracle disagree)."""
+    checked = 0
+    disagreements = []
+    for cols in instances:
+        profile = profile_from_columns(q, list(cols))
+        covering = covers(hyperplanes_of(profile), profile.k, profile.q).covered
+        checked += 1
+        if covering != skalba_oracle(profile):
+            disagreements.append(cols)
+    return checked, disagreements
 
 
 def oracle_check_exhaustive(q, k_max, l_max):
@@ -196,37 +195,30 @@ def oracle_check_exhaustive(q, k_max, l_max):
 
     Returns (instances checked, list of disagreeing column tuples).
     """
-    checked = 0
-    disagreements = []
-    for k in range(1, k_max + 1):
-        nonzero = [v for v in product(range(q), repeat=k) if any(v)]
-        for l in range(1, l_max + 1):
-            for cols in product(nonzero, repeat=l):
-                profile = profile_from_columns(q, list(cols))
-                covering, oracle = _agreement(profile)
-                checked += 1
-                if covering != oracle:
-                    disagreements.append(cols)
-    return checked, disagreements
+
+    def instances():
+        for k in range(1, k_max + 1):
+            nonzero = [v for v in product(range(q), repeat=k) if any(v)]
+            for l in range(1, l_max + 1):
+                yield from product(nonzero, repeat=l)
+
+    return _compare_routes(q, instances())
 
 
 def oracle_check_random(q, k_max, l_max, trials, seed):
     """Compare both routes on random nonzero-column matrices."""
     rng = random.Random(seed)
-    checked = 0
-    disagreements = []
-    for _ in range(trials):
-        k = rng.randint(1, k_max)
-        l = rng.randint(1, l_max)
-        cols = []
-        for _ in range(l):
-            col = tuple(rng.randrange(q) for _ in range(k))
-            while not any(col):
+
+    def instances():
+        for _ in range(trials):
+            k = rng.randint(1, k_max)
+            l = rng.randint(1, l_max)
+            cols = []
+            for _ in range(l):
                 col = tuple(rng.randrange(q) for _ in range(k))
-            cols.append(col)
-        profile = profile_from_columns(q, cols)
-        covering, oracle = _agreement(profile)
-        checked += 1
-        if covering != oracle:
-            disagreements.append(tuple(cols))
-    return checked, disagreements
+                while not any(col):
+                    col = tuple(rng.randrange(q) for _ in range(k))
+                cols.append(col)
+            yield tuple(cols)
+
+    return _compare_routes(q, instances())

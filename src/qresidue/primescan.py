@@ -1,15 +1,18 @@
 """Per-prime Euler-criterion checks, counterexample search, and density census.
 
-Only split primes (p = 1 mod q) carry information: otherwise the q-th power
-map is a bijection on F_p* and every element is a residue.  The census
-compares empirical failure rates against the equidistribution prediction
-U / (q^k (q-1)), where U counts vectors of F_q^k missed by every hyperplane
-of the residue profile; for a single support prime this is the classical 1/q.
+The statement concerns only primes p != q that divide no element of B; every
+other prime is excluded.  Among the rest, only split primes (p = 1 mod q)
+carry information: otherwise the q-th power map is a bijection on F_p* and
+every element is a residue.  The census compares empirical failure rates
+against the equidistribution prediction U / (q^k (q-1)), where U counts
+vectors of F_q^k missed by every hyperplane of the residue profile; for a
+single support prime this is the classical 1/q.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import compress
+from math import isqrt, prod
 
 from .arith import factorize
 from .covering import uncovered_count
@@ -62,7 +65,7 @@ def primes_up_to(bound):
     for i in range(2, isqrt(root) + 1):
         if base_sieve[i]:
             base_sieve[i * i :: i] = bytearray(len(base_sieve[i * i :: i]))
-    base_primes = [i for i in range(2, root + 1) if base_sieve[i]]
+    base_primes = list(compress(range(root + 1), base_sieve))
     yield from base_primes
     low = root + 1
     while low <= bound:
@@ -71,9 +74,7 @@ def primes_up_to(bound):
         for p in base_primes:
             start = max(p * p, (low + p - 1) // p * p)
             seg[start - low :: p] = bytearray(len(seg[start - low :: p]))
-        for i, flag in enumerate(seg):
-            if flag:
-                yield low + i
+        yield from compress(range(low, high + 1), seg)
         low = high + 1
 
 
@@ -108,6 +109,11 @@ def residue_symbol(b: int, p: int, q: int) -> ResidueSymbol:
     raise RuntimeError(f"{s} is not in the order-{q} subgroup mod {p}")
 
 
+def _is_qth_power(b, p, q) -> bool:
+    """Euler's criterion for a split prime p that does not divide b."""
+    return pow(b, (p - 1) // q, p) == 1
+
+
 def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
     """Does some element of B have a q-th root mod p?  Requires p valid."""
     if p == q:
@@ -116,30 +122,29 @@ def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
         if b % p == 0:
             raise ValueError(f"p = {p} divides element {b}; excluded prime")
     splits = p % q == 1
-    if not splits:
-        per_element = tuple((b, True) for b in B)
-        return PrimeCheckReport(p, False, per_element, True)
-    per_element = tuple((b, pow(b, (p - 1) // q, p) == 1) for b in B)
-    return PrimeCheckReport(p, True, per_element, any(r for _, r in per_element))
+    per_element = tuple((b, not splits or _is_qth_power(b, p, q)) for b in B)
+    return PrimeCheckReport(p, splits, per_element, any(r for _, r in per_element))
 
 
-def _excluded(p, q, prod):
-    return p == q or prod % p == 0
+def _scan(B, q, bound):
+    """Yield (p, fails) for each prime p <= bound.
+
+    fails is None for an excluded prime, True for a split prime at which no
+    element of B is a q-th power residue, and False otherwise.
+    """
+    product = prod(B)
+    for p in primes_up_to(bound):  # the module global, so it can be replaced
+        if p == q or product % p == 0:
+            yield p, None
+        else:
+            yield p, p % q == 1 and not any(_is_qth_power(b, p, q) for b in B)
 
 
 def find_counterexample_prime(B, q, bound) -> int | None:
     """First prime <= bound (outside the excluded set) where no element is a residue."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    prod = 1
-    for b in B:
-        prod *= b
-    for p in primes_up_to(bound):
-        if _excluded(p, q, prod):
-            continue
-        if not has_qth_power_mod_p(B, p, q).outcome:
-            return p
-    return None
+    return next((p for p, fails in _scan(B, q, bound) if fails), None)
 
 
 def predicted_failure_density(B, q) -> Fraction:
@@ -157,20 +162,15 @@ def census(B, q, bound) -> DensityReport:
         raise ValueError("bound must be >= 100")
     # first, so that a GuardError comes before the scan, not after it
     predicted = predicted_failure_density(B, q)
-    prod = 1
-    for b in B:
-        prod *= b
     checked = excluded = split = 0
     failing = []
-    for p in primes_up_to(bound):
-        if _excluded(p, q, prod):
+    for p, fails in _scan(B, q, bound):
+        if fails is None:
             excluded += 1
             continue
         checked += 1
-        if p % q != 1:
-            continue
-        split += 1
-        if not any(pow(b, (p - 1) // q, p) == 1 for b in B):
+        split += p % q == 1
+        if fails:
             failing.append(p)
     empirical = Fraction(len(failing), checked) if checked else Fraction(0)
     return DensityReport(

@@ -6,6 +6,7 @@ form an exponent matrix over F_q whose columns are hyperplane normals.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 from .arith import factorize, integer_qth_root, is_probable_prime
 from .covering import Hyperplane
@@ -62,20 +63,17 @@ class ResidueProfile:
         return tuple(self.exponents[i][j] for i in range(self.k))
 
 
+def _qfree_part(b, q):
+    """(q-free part of |b|, {prime: exponent mod q}) with zero exponents dropped."""
+    factors = {p: e % q for p, e in factorize(abs(b)).factors if e % q}
+    return prod(p**e for p, e in factors.items()), factors
+
+
 def rad_q(b: int, q: int) -> int:
     """The q-free part of |b|: every exponent reduced mod q; 1 for q-th powers."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    fac = factorize(abs(b))
-    out = 1
-    for p, e in fac.factors:
-        out *= p ** (e % q)
-    return out
-
-
-def _qfree_factors(b, q):
-    fac = factorize(abs(b))
-    return [(p, e % q) for p, e in fac.factors if e % q != 0]
+    return _qfree_part(b, q)[0]
 
 
 def build_profile(qinput: QInput):
@@ -88,14 +86,11 @@ def build_profile(qinput: QInput):
     columns = []  # (qfree value, {prime: exponent}, source element)
     seen = set()
     for b in qinput.elements:
-        factors = _qfree_factors(b, q)
-        value = 1
-        for p, e in factors:
-            value *= p**e
+        value, factors = _qfree_part(b, q)
         if value in seen:
             continue
         seen.add(value)
-        columns.append((value, dict(factors), b))
+        columns.append((value, factors, b))
     support = sorted({p for _, fac, _ in columns for p in fac})
     exponents = tuple(
         tuple(fac.get(p, 0) for _, fac, _ in columns) for p in support

@@ -7,7 +7,6 @@ from qresidue.arith import (
     integer_qth_root,
     is_perfect_qth_power,
     is_probable_prime,
-    mod_pow,
 )
 
 
@@ -83,19 +82,3 @@ def test_is_perfect_qth_power():
     assert is_perfect_qth_power(32, 5)
     assert not is_perfect_qth_power(12, 3)
     assert is_perfect_qth_power(1, 3) and is_perfect_qth_power(-1, 3)
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 4, 13) == 3
-    assert mod_pow(5, 0, 7) == 1
-    assert mod_pow(6, 2, 7) == 1
-
-
-def test_mod_pow_matches_naive():
-    for base in range(50):
-        for exp in range(50):
-            for modulus in (2, 3, 50, 97, 99):
-                naive = 1
-                for _ in range(exp):
-                    naive = naive * base % modulus
-                assert mod_pow(base, exp, modulus) == naive

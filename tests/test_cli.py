@@ -147,3 +147,29 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch, error):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:") and "self-check failed" in err
+
+
+def test_synthesize_twist_count_budget(capsys):
+    code, _, err = run(capsys, "synthesize", "--q", "3", "--k", "2", "--twists", "100000000")
+    assert code == 2 and "exceeds limit" in err
+    for count in ("0", "-3"):
+        code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2", "--twists", count)
+        assert code == 2 and out == "" and ">= 1" in err
+    code, env, _ = run_json(capsys, "synthesize", "--q", "3", "--k", "2", "--twists", "5")
+    assert code == 0 and len(env["result"]["twists"]) == 5
+
+
+def test_oracle_check_instance_budget(capsys):
+    base = ("oracle-check", "--q", "3", "--k-max", "2", "--l-max", "2")
+    code, _, err = run(capsys, *base, "--mode", "random", "--trials", str(10**6 + 1))
+    assert code == 2 and "exceeds" in err
+    for trials in ("0", "-1"):
+        code, _, err = run(capsys, *base, "--mode", "random", "--trials", trials)
+        assert code == 2 and ">= 1" in err
+    code, _, err = run(
+        capsys, "oracle-check", "--q", "3", "--k-max", "4", "--l-max", "4",
+        "--mode", "exhaustive",
+    )
+    assert code == 2 and "exceeds" in err
+    code, env, _ = run_json(capsys, *base, "--mode", "random", "--trials", "7")
+    assert code == 0 and env["result"]["instances_checked"] == 7

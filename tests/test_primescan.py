@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qresidue.primescan import (
+    DensityReport,
     canonical_zeta,
     census,
     find_counterexample_prime,
@@ -179,3 +180,70 @@ def test_census_guard_fires_before_the_scan(monkeypatch):
     eighteen_primes = [p for p in primes_up_to(67) if p != 3]  # 3^18 points
     with pytest.raises(GuardError):
         census(eighteen_primes, 3, 2 * 10**6)
+
+
+# --- reference: the original per-prime loops ------------------------------
+
+
+def _plain_sieve(bound):
+    flags = bytearray([1]) * (bound + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, int(bound**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return [i for i, flag in enumerate(flags) if flag]
+
+
+def _reference_scan(B, q, bound):
+    """(DensityReport fields of the prime loop, first failing prime or None)."""
+    prod = 1
+    for b in B:
+        prod *= b
+    checked = excluded = split = 0
+    failing = []
+    for p in _plain_sieve(bound):
+        if p == q or prod % p == 0:
+            excluded += 1
+            continue
+        checked += 1
+        if p % q != 1:
+            continue
+        split += 1
+        if not any(pow(b, (p - 1) // q, p) == 1 for b in B):
+            failing.append(p)
+    fields = dict(
+        bound=bound,
+        primes_checked=checked,
+        excluded_primes=excluded,
+        split_primes=split,
+        failing_count=len(failing),
+        failing_primes=tuple(failing[:25]),
+        empirical_density=Fraction(len(failing), checked) if checked else Fraction(0),
+    )
+    return fields, (failing[0] if failing else None)
+
+
+def _scan_cases():
+    rng = random.Random(2023)
+    small = [2, 3, 5, 7, 11, 13]
+    for q in (3, 5, 7):
+        for i in range(4):
+            # products of shared small primes with random signs; half the sets
+            # hold a multiple of q, so p = q is excluded on either ground
+            B = [q * rng.choice(small)] if i % 2 else []
+            for _ in range(rng.randint(1, 3)):
+                b = 1
+                for p in rng.sample(small, rng.randint(1, 3)):
+                    b *= p ** rng.randint(1, q - 1)
+                B.append(b)
+            yield q, [b if rng.random() < 0.5 else -b for b in B], 30_000
+    yield 3, [-2, 3, -6, 324], 30_000  # covers F_3^2: no failing prime
+    yield 3, [-10, 22, 35], 10**6 + 20_000  # two sieve segments
+
+
+@pytest.mark.parametrize("q, B, bound", list(_scan_cases()))
+def test_scan_matches_reference_loops(q, B, bound):
+    fields, first = _reference_scan(B, q, bound)
+    expected = DensityReport(**fields, predicted_density=predicted_failure_density(B, q))
+    assert census(B, q, bound) == expected
+    assert find_counterexample_prime(B, q, bound) == first
