@@ -1,92 +1,8 @@
 """Decide whether a finite set of nonzero integers contains a q-th power
 residue modulo almost every prime, via hyperplane coverings of F_q^k."""
 
-from .arith import (
-    FactoredInteger,
-    factorize,
-    integer_qth_root,
-    is_perfect_qth_power,
-    is_probable_prime,
-)
-from .covering import (
-    CoveringResult,
-    GuardError,
-    Hyperplane,
-    covers,
-    minimal_cover,
-    normalize_hyperplane,
-    synthesize_covering,
-)
-from .criterion import (
-    Decision,
-    SkalbaCertificate,
-    Verdict,
-    counterexample_c,
-    decide,
-    exponent_twist,
-    skalba_condition_holds,
-    skalba_oracle,
-    skalba_solve,
-    zero_entry_witness,
-)
-from .primescan import (
-    DensityReport,
-    PrimeCheckReport,
-    ResidueSymbol,
-    canonical_zeta,
-    census,
-    find_counterexample_prime,
-    has_qth_power_mod_p,
-    primes_up_to,
-    qth_root_mod_p,
-    residue_symbol,
-)
-from .profiles import (
-    QInput,
-    ResidueProfile,
-    TrivialCertificate,
-    build_profile,
-    hyperplanes_of,
-    rad_q,
-)
+from .covering import GuardError
+from .criterion import Decision, Verdict, decide
+from .profiles import QInput
 
-__all__ = [
-    "FactoredInteger",
-    "factorize",
-    "integer_qth_root",
-    "is_perfect_qth_power",
-    "is_probable_prime",
-    "CoveringResult",
-    "GuardError",
-    "Hyperplane",
-    "covers",
-    "minimal_cover",
-    "normalize_hyperplane",
-    "synthesize_covering",
-    "Decision",
-    "SkalbaCertificate",
-    "Verdict",
-    "counterexample_c",
-    "decide",
-    "exponent_twist",
-    "skalba_condition_holds",
-    "skalba_oracle",
-    "skalba_solve",
-    "zero_entry_witness",
-    "DensityReport",
-    "PrimeCheckReport",
-    "ResidueSymbol",
-    "canonical_zeta",
-    "census",
-    "find_counterexample_prime",
-    "has_qth_power_mod_p",
-    "primes_up_to",
-    "qth_root_mod_p",
-    "residue_symbol",
-    "QInput",
-    "ResidueProfile",
-    "TrivialCertificate",
-    "build_profile",
-    "hyperplanes_of",
-    "rad_q",
-]
+__all__ = ["Decision", "GuardError", "QInput", "Verdict", "decide"]

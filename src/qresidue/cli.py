@@ -21,7 +21,6 @@ from .profiles import QInput
 
 SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
-ORACLE_INSTANCE_LIMIT = 10**6
 
 
 class UsageError(ValueError):
@@ -49,15 +48,6 @@ def _parse_set(text):
     return elems
 
 
-def _profile_payload(profile):
-    return {
-        "support_primes": list(profile.support_primes),
-        "exponent_matrix": [list(row) for row in profile.exponents],
-        "qfree_values": list(profile.qfree_values),
-        "provenance": {str(j): b for j, b in profile.provenance.items()},
-    }
-
-
 def _assignment_digest(covering):
     # The assignment lists the nonzero points in lexicographic order, which is
     # the order product() yields their keys in.
@@ -68,41 +58,43 @@ def _assignment_digest(covering):
     return {"points_assigned": len(assignment), "assignment": digest}
 
 
-def _trivial_payload(decision, qinput):
-    cert = decision.trivial
-    return {
-        "verdict": decision.verdict.value,
-        "trivial_certificate": {
+def _decision_result(args):
+    """(decision, result) for --q/--set; result holds the verdict and either
+    the trivial certificate or the residue profile."""
+    qinput = QInput(args.q, tuple(args.set))
+    decision = decide(qinput)
+    result = {"verdict": decision.verdict.value}
+    if decision.verdict is Verdict.TRIVIALLY_YES:
+        cert = decision.trivial
+        result["trivial_certificate"] = {
             "index": cert.index,
             "element": qinput.elements[cert.index],
             "root": cert.root,
-        },
+        }
+        return decision, result
+    profile = decision.profile
+    result["profile"] = {
+        "support_primes": list(profile.support_primes),
+        "exponent_matrix": [list(row) for row in profile.exponents],
+        "qfree_values": list(profile.qfree_values),
+        "provenance": {str(j): b for j, b in profile.provenance.items()},
     }
+    return decision, result
 
 
 def cmd_decide(args):
-    qinput = QInput(args.q, tuple(args.set))
-    decision = decide(qinput)
-    if decision.verdict is Verdict.TRIVIALLY_YES:
-        return 0, _trivial_payload(decision, qinput)
-    result = {
-        "verdict": decision.verdict.value,
-        "profile": _profile_payload(decision.profile),
-    }
+    decision, result = _decision_result(args)
     if decision.verdict is Verdict.YES:
         result["covering"] = _assignment_digest(decision.covering)
-        return 0, result
-    result["uncovered_witness"] = list(decision.uncovered)
-    return 1, result
+    elif decision.verdict is Verdict.NO:
+        result["uncovered_witness"] = list(decision.uncovered)
+        return 1, result
+    return 0, result
 
 
 def cmd_certificate(args):
-    qinput = QInput(args.q, tuple(args.set))
-    decision = decide(qinput)
-    if decision.verdict is Verdict.TRIVIALLY_YES:
-        return 0, _trivial_payload(decision, qinput)
+    decision, result = _decision_result(args)
     profile = decision.profile
-    result = {"verdict": decision.verdict.value, "profile": _profile_payload(profile)}
     if decision.verdict is Verdict.YES:
         c = args.c if args.c is not None else [1] * profile.l
         if len(c) != profile.l:
@@ -124,19 +116,19 @@ def cmd_certificate(args):
             )
             + f" = {cert.product} = {cert.root}^{args.q}",
         }
-        return 0, result
-    d = decision.uncovered
-    c = criterion.counterexample_c(profile, d)
-    result["failing_twist"] = {
-        "d": list(d),
-        "c": list(c),
-        "row_combination": [1] * profile.l,
-    }
-    return 1, result
+    elif decision.verdict is Verdict.NO:
+        d = decision.uncovered
+        c = criterion.counterexample_c(profile, d)
+        result["failing_twist"] = {
+            "d": list(d),
+            "c": list(c),
+            "row_combination": [1] * profile.l,
+        }
+        return 1, result
+    return 0, result
 
 
 def cmd_scan(args):
-    _check_bound(args.bound, 2)
     qinput = QInput(args.q, tuple(args.set))  # validates inputs
     p = primescan.find_counterexample_prime(qinput.elements, args.q, args.bound)
     if p is None:
@@ -150,7 +142,6 @@ def cmd_scan(args):
 
 
 def cmd_census(args):
-    _check_bound(args.bound, 100)
     qinput = QInput(args.q, tuple(args.set))
     rep = primescan.census(qinput.elements, args.q, args.bound)
     return 0, {
@@ -237,11 +228,9 @@ def cmd_synthesize(args):
 
 def cmd_oracle_check(args):
     if args.mode == "exhaustive":
-        if (args.q**args.k_max - 1) ** args.l_max > ORACLE_INSTANCE_LIMIT:
-            raise GuardError(f"exhaustive instance space exceeds {ORACLE_INSTANCE_LIMIT}")
         checked, bad = criterion.oracle_check_exhaustive(args.q, args.k_max, args.l_max)
     else:
-        _check_count("--trials", args.trials, ORACLE_INSTANCE_LIMIT)
+        _check_count("--trials", args.trials, criterion.ORACLE_INSTANCE_LIMIT)
         checked, bad = criterion.oracle_check_random(
             args.q, args.k_max, args.l_max, args.trials, args.seed
         )
@@ -252,13 +241,6 @@ def cmd_oracle_check(args):
         "disagreeing_columns": [list(map(list, cols)) for cols in bad[:10]],
     }
     return (0 if not bad else 1), result
-
-
-def _check_bound(bound, minimum):
-    if bound < minimum:
-        raise UsageError(f"bound must be >= {minimum}")
-    if bound > primescan.SCAN_BOUND_LIMIT:
-        raise UsageError(f"bound must be <= {primescan.SCAN_BOUND_LIMIT}")
 
 
 def _check_count(flag, count, limit):

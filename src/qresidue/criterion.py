@@ -10,14 +10,17 @@ routes must agree.  Constructive witnesses are available in both directions.
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from functools import cache
+from itertools import count, islice, product
+from math import prod
 
 from . import fqlinalg
-from .arith import integer_qth_root
+from .arith import integer_qth_root, is_probable_prime
 from .covering import CoveringResult, GuardError, covers
 from .profiles import QInput, ResidueProfile, TrivialCertificate, build_profile, hyperplanes_of
 
-ORACLE_ENUMERATION_LIMIT = 10**7
+ORACLE_ENUMERATION_LIMIT = 10**7  # Skalba checks, i.e. twist vectors c tried
+ORACLE_INSTANCE_LIMIT = 10**6  # matrices in one oracle sweep
 
 
 class Verdict(Enum):
@@ -35,9 +38,7 @@ class Decision:
 
     @property
     def uncovered(self) -> tuple[int, ...] | None:
-        if self.covering is not None and not self.covering.covered:
-            return self.covering.witness
-        return None
+        return self.covering.witness if self.covering is not None else None
 
 
 @dataclass(frozen=True)
@@ -99,50 +100,43 @@ def skalba_solve(profile: ResidueProfile, c) -> SkalbaCertificate | None:
     """Constructive certificate for one twist vector c, or None if it fails.
 
     Picks a basis vector f of Null(M(c)) with nonzero coordinate sum and
-    verifies the integer identity exactly.  The coordinate sum is linear, so
-    if every basis vector sums to 0 mod q, so does all of Null(M(c)).
+    verifies the integer identity exactly.  The all-ones row lies in the row
+    space of M(c) iff it is orthogonal to Null(M(c)), and the coordinate sum
+    is linear, so c fails iff every basis vector sums to 0 mod q.
     """
     _check_c(profile, c)
     q = profile.q
-    if not skalba_condition_holds(profile, c):
-        return None
     basis = fqlinalg.null_space_basis(twisted_matrix(profile, c), q)
     f = next((v for v in basis if sum(v) % q != 0), None)
     if f is None:
-        raise RuntimeError("no null vector with nonzero sum despite condition holding")
-    prod = 1
-    for j in range(profile.l):
-        prod *= profile.qfree_values[j] ** (c[j] * f[j] % q)
-    root = integer_qth_root(prod, q)
-    if root is None or root**q != prod:
+        return None
+    total = prod(b ** (cj * fj % q) for b, cj, fj in zip(profile.qfree_values, c, f))
+    root = integer_qth_root(total, q)
+    if root is None or root**q != total:
         raise RuntimeError(
-            f"certificate product {prod} is not an exact {q}-th power; "
+            f"certificate product {total} is not an exact {q}-th power; "
             "this contradicts the covering criterion"
         )
-    return SkalbaCertificate(tuple(cj % q for cj in c), tuple(f), prod, root)
+    return SkalbaCertificate(tuple(cj % q for cj in c), tuple(f), total, root)
 
 
 def counterexample_c(profile: ResidueProfile, d) -> tuple[int, ...]:
     """Failing twist c_j = (sum_i exponent[i][j] d_i)^-1 from an uncovered witness d."""
     q = profile.q
-    sums = [
-        sum(profile.exponents[i][j] * d[i] for i in range(profile.k)) % q
-        for j in range(profile.l)
-    ]
-    if any(s == 0 for s in sums):
+    sums = fqlinalg.vec_mat(d, profile.exponents, q)
+    if 0 in sums:
         raise ValueError("d is annihilated by some column; not an uncovered witness")
     c = tuple(pow(s, -1, q) for s in sums)
-    assert fqlinalg.vec_mat(list(d), twisted_matrix(profile, c), q) == [1] * profile.l
+    assert fqlinalg.vec_mat(d, twisted_matrix(profile, c), q) == [1] * profile.l
     return c
 
 
 def zero_entry_witness(profile: ResidueProfile, c, d) -> int:
     """Column index annihilating d, i.e. the zero entry of d^T M(c)."""
     _check_c(profile, c)
-    q = profile.q
-    for j in range(profile.l):
-        if sum(profile.exponents[i][j] * d[i] for i in range(profile.k)) % q == 0:
-            return j
+    sums = fqlinalg.vec_mat(d, profile.exponents, profile.q)
+    if 0 in sums:
+        return sums.index(0)
     raise RuntimeError("no column annihilates d; the covering assignment is wrong")
 
 
@@ -157,13 +151,16 @@ def exponent_twist(qinput: QInput, a) -> QInput:
 
 # --- covering-vs-oracle agreement sweeps -----------------------------------
 
-_SYNTHETIC_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+@cache
+def _synthetic_primes(q, k):
+    """The first k primes other than q: one support prime per matrix row."""
+    return tuple(islice((p for p in count(2) if p != q and is_probable_prime(p)), k))
 
 
 def profile_from_columns(q, columns) -> ResidueProfile:
     """Synthetic profile with the given nonzero exponent columns over F_q."""
     k = len(columns[0])
-    primes = [p for p in _SYNTHETIC_PRIMES if p != q][:k]
+    primes = _synthetic_primes(q, k)
     exponents = tuple(
         tuple(col[i] % q for col in columns) for i in range(k)
     )
@@ -174,7 +171,7 @@ def profile_from_columns(q, columns) -> ResidueProfile:
             v *= p ** (e % q)
         qfree.append(v)
     provenance = {j: v for j, v in enumerate(qfree)}
-    return ResidueProfile(q, tuple(primes), exponents, provenance, tuple(qfree))
+    return ResidueProfile(q, primes, exponents, provenance, tuple(qfree))
 
 
 def _compare_routes(q, instances):
@@ -193,8 +190,23 @@ def _compare_routes(q, instances):
 def oracle_check_exhaustive(q, k_max, l_max):
     """Compare both routes on every nonzero-column matrix with k<=k_max, l<=l_max.
 
-    Returns (instances checked, list of disagreeing column tuples).
+    Returns (instances checked, list of disagreeing column tuples).  Raises
+    GuardError if the instance count sum (q^k-1)^l or the Skalba check count
+    sum (q^k-1)^l (q-1)^l over the sweep exceeds its limit.
     """
+    if k_max < 1 or l_max < 1:
+        return 0, []
+    matrices = checks = 0
+    for k in range(1, k_max + 1):
+        for l in range(1, l_max + 1):  # both sums only grow: stop at the first excess
+            n = (q**k - 1) ** l
+            matrices += n
+            checks += n * (q - 1) ** l
+            if matrices > ORACLE_INSTANCE_LIMIT or checks > ORACLE_ENUMERATION_LIMIT:
+                raise GuardError(
+                    f"exhaustive sweep exceeds {ORACLE_INSTANCE_LIMIT} instances "
+                    f"or {ORACLE_ENUMERATION_LIMIT} Skalba checks"
+                )
 
     def instances():
         for k in range(1, k_max + 1):
@@ -206,7 +218,17 @@ def oracle_check_exhaustive(q, k_max, l_max):
 
 
 def oracle_check_random(q, k_max, l_max, trials, seed):
-    """Compare both routes on random nonzero-column matrices."""
+    """Compare both routes on random nonzero-column matrices.
+
+    Raises GuardError if trials (q-1)^l_max, a bound on the Skalba checks,
+    exceeds ORACLE_ENUMERATION_LIMIT.
+    """
+    # (q-1)^24 >= 2^24 > ORACLE_ENUMERATION_LIMIT, so the cap keeps the power
+    # small without changing the outcome
+    if trials * (q - 1) ** min(l_max, 24) > ORACLE_ENUMERATION_LIMIT:
+        raise GuardError(
+            f"{trials} trials x (q-1)^{l_max} exceeds {ORACLE_ENUMERATION_LIMIT} Skalba checks"
+        )
     rng = random.Random(seed)
 
     def instances():

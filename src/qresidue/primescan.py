@@ -15,7 +15,7 @@ from itertools import compress
 from math import isqrt, prod
 
 from .arith import factorize
-from .covering import uncovered_count
+from .covering import GuardError, uncovered_count
 from .profiles import QInput, TrivialCertificate, build_profile, hyperplanes_of
 
 SEGMENT_SIZE = 10**6
@@ -126,6 +126,14 @@ def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
     return PrimeCheckReport(p, splits, per_element, any(r for _, r in per_element))
 
 
+def _check_bound(bound, minimum):
+    """The scan budget: minimum <= bound <= SCAN_BOUND_LIMIT."""
+    if bound < minimum:
+        raise ValueError(f"bound must be >= {minimum}")
+    if bound > SCAN_BOUND_LIMIT:
+        raise GuardError(f"bound {bound} exceeds scan limit {SCAN_BOUND_LIMIT}")
+
+
 def _scan(B, q, bound):
     """Yield (p, fails) for each prime p <= bound.
 
@@ -142,8 +150,7 @@ def _scan(B, q, bound):
 
 def find_counterexample_prime(B, q, bound) -> int | None:
     """First prime <= bound (outside the excluded set) where no element is a residue."""
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
+    _check_bound(bound, 2)
     return next((p for p, fails in _scan(B, q, bound) if fails), None)
 
 
@@ -158,8 +165,7 @@ def predicted_failure_density(B, q) -> Fraction:
 
 def census(B, q, bound) -> DensityReport:
     """Scan all primes <= bound and tabulate failure density vs the prediction."""
-    if bound < 100:
-        raise ValueError("bound must be >= 100")
+    _check_bound(bound, 100)
     # first, so that a GuardError comes before the scan, not after it
     predicted = predicted_failure_density(B, q)
     checked = excluded = split = 0

@@ -101,10 +101,5 @@ def build_profile(qinput: QInput):
 
 
 def hyperplanes_of(profile: ResidueProfile) -> list[Hyperplane]:
-    """One hyperplane per column normal, with duplicate normals collapsed."""
-    normals = []
-    for j in range(profile.l):
-        n = profile.column(j)
-        if n not in normals:
-            normals.append(n)
-    return [Hyperplane(n, profile.q) for n in normals]
+    """One hyperplane per column normal, the first of any duplicates kept."""
+    return [Hyperplane(n, profile.q) for n in dict.fromkeys(zip(*profile.exponents))]

@@ -86,8 +86,11 @@ def test_scan(capsys):
 
 
 def test_scan_bound_guard(capsys):
-    code, _, err = run(capsys, "scan", "--q", "3", "--set", "2", "--bound", str(10**8))
-    assert code == 2
+    for command in ("scan", "census"):
+        code, out, err = run(capsys, command, "--q", "3", "--set", "2", "--bound", str(10**8))
+        assert code == 2 and out == "" and "exceeds scan limit" in err
+    code, out, err = run(capsys, "scan", "--q", "3", "--set", "2", "--bound", "1")
+    assert code == 2 and ">= 2" in err
 
 
 def test_census(capsys):
@@ -173,3 +176,14 @@ def test_oracle_check_instance_budget(capsys):
     assert code == 2 and "exceeds" in err
     code, env, _ = run_json(capsys, *base, "--mode", "random", "--trials", "7")
     assert code == 0 and env["result"]["instances_checked"] == 7
+
+
+def test_oracle_check_exhaustive_work_budget(capsys):
+    # (3 - 1)^19 = 524,288 is under the instance limit, but the sweep holds
+    # sum_{l <= 19} 2^l = 1,048,574 matrices
+    code, out, err = run(
+        capsys, "oracle-check", "--q", "3", "--k-max", "1", "--l-max", "19",
+        "--mode", "exhaustive",
+    )
+    assert code == 2 and out == "" and "exceeds" in err
+

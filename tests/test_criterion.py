@@ -1,14 +1,20 @@
 import random
+from itertools import product
 
 import pytest
 
+from qresidue import criterion
+from qresidue.covering import GuardError, covers, synthesize_covering
 from qresidue.criterion import (
+    ORACLE_ENUMERATION_LIMIT,
+    ORACLE_INSTANCE_LIMIT,
     Verdict,
     counterexample_c,
     decide,
     exponent_twist,
     oracle_check_exhaustive,
     oracle_check_random,
+    profile_from_columns,
     skalba_condition_holds,
     skalba_oracle,
     skalba_solve,
@@ -16,7 +22,7 @@ from qresidue.criterion import (
     zero_entry_witness,
 )
 from qresidue.fqlinalg import vec_mat
-from qresidue.profiles import QInput, build_profile
+from qresidue.profiles import QInput, build_profile, hyperplanes_of
 
 CUBE_YES = QInput(3, (2, 3, 6, 12))
 CUBE_NO = QInput(3, (2, 3, 6))
@@ -190,3 +196,100 @@ def test_oracle_agreement_random_f5():
     checked, disagreements = oracle_check_random(5, 3, 4, trials=200, seed=42)
     assert checked == 200
     assert disagreements == []
+
+
+def _no_sweep(monkeypatch):
+    def fail(q, instances):
+        raise AssertionError("the sweep ran before its budget check")
+
+    monkeypatch.setattr(criterion, "_compare_routes", fail)
+
+
+def test_oracle_exhaustive_budget_counts_exact_instances(monkeypatch):
+    _no_sweep(monkeypatch)
+    # (3^1 - 1)^19 = 2^19 <= 10^6, but the sweep holds sum_{l<=19} 2^l matrices
+    assert sum(2**l for l in range(1, 20)) > ORACLE_INSTANCE_LIMIT
+    with pytest.raises(GuardError):
+        oracle_check_exhaustive(3, 1, 19)
+    # 9,330 matrices are within budget, but they need 62,193,780 Skalba checks
+    assert sum(6**l for l in range(1, 6)) <= ORACLE_INSTANCE_LIMIT
+    assert sum(36**l for l in range(1, 6)) > ORACLE_ENUMERATION_LIMIT
+    with pytest.raises(GuardError):
+        oracle_check_exhaustive(7, 1, 5)
+    with pytest.raises(GuardError):
+        oracle_check_exhaustive(3, 10**9, 10**9)
+
+
+def test_oracle_exhaustive_empty_shapes():
+    assert oracle_check_exhaustive(3, 10**9, 0) == (0, [])
+    assert oracle_check_exhaustive(3, 0, 10**9) == (0, [])
+
+
+def test_oracle_random_budget(monkeypatch):
+    _no_sweep(monkeypatch)
+    with pytest.raises(GuardError):
+        oracle_check_random(5, 2, 12, trials=1, seed=0)  # 4^12 > 10^7 checks
+    with pytest.raises(GuardError):
+        oracle_check_random(3, 2, 4, trials=ORACLE_ENUMERATION_LIMIT // 16 + 1, seed=0)
+    with pytest.raises(GuardError):
+        oracle_check_random(7, 2, 10**9, trials=1, seed=0)
+
+
+def test_oracle_budgets_admit_sweeps_at_the_limit(monkeypatch):
+    monkeypatch.setattr(criterion, "_compare_routes", lambda q, instances: "admitted")
+    trials = ORACLE_ENUMERATION_LIMIT // 16  # exactly 10^7 checks at q = 3, l = 4
+    assert oracle_check_random(3, 2, 4, trials=trials, seed=0) == "admitted"
+    # 4,094 matrices and 5,592,404 checks; one more column would need 22,369,620
+    assert oracle_check_exhaustive(3, 1, 11) == "admitted"
+    _no_sweep(monkeypatch)
+    with pytest.raises(GuardError):
+        oracle_check_exhaustive(3, 1, 12)
+
+
+def test_synthetic_profiles_keep_every_row():
+    # k = 12 needs more support primes than the first ten primes hold
+    columns = [(1,) * 12, (0,) * 11 + (1,)]
+    profile = profile_from_columns(3, columns)
+    assert profile.k == 12 and 3 not in profile.support_primes
+    assert [profile.column(j) for j in range(2)] == columns
+    checked, disagreements = oracle_check_random(3, 12, 2, trials=20, seed=3)
+    assert checked == 20 and disagreements == []
+
+
+def _route_profiles(q, rng, count):
+    """Synthetic profiles: pencil coverings of F_q^2 (for q = 3 with a random
+    extra column half the time) and random column sets."""
+    pencil = [h.normal for h in synthesize_covering(2, q)]
+    for _ in range(count):
+        if rng.random() < 0.4:
+            scales = [rng.randrange(1, q) for _ in pencil]
+            cols = [tuple(s * x % q for x in n) for s, n in zip(scales, pencil)]
+            if q == 3 and rng.random() < 0.5:
+                cols.append((rng.randrange(1, q), rng.randrange(q)))
+            rng.shuffle(cols)
+        else:
+            k, l = rng.randint(1, 3), rng.randint(1, 6 if q == 3 else 4)
+            cols = []
+            while len(cols) < l:
+                col = tuple(rng.randrange(q) for _ in range(k))
+                if any(col):
+                    cols.append(col)
+        yield profile_from_columns(q, cols)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_skalba_solve_agrees_with_row_space_route(q):
+    rng = random.Random(61 + q)
+    seen = {True: 0, False: 0}
+    for profile in _route_profiles(q, rng, 30 if q == 3 else 12):
+        covered = covers(hyperplanes_of(profile), profile.k, q).covered
+        seen[covered] += 1
+        for c in product(range(1, q), repeat=profile.l):
+            cert = skalba_solve(profile, c)
+            assert (cert is None) == (not skalba_condition_holds(profile, c))
+            if covered:
+                assert cert is not None
+            if cert is not None:
+                assert sum(cert.f) % q != 0
+                assert cert.product == cert.root**q
+    assert seen[True] >= 3 and seen[False] >= 3

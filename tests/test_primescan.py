@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from qresidue import primescan
+from qresidue.covering import GuardError
 from qresidue.primescan import (
+    SCAN_BOUND_LIMIT,
     DensityReport,
     canonical_zeta,
     census,
@@ -169,17 +172,30 @@ def test_qth_root_high_q_valuation():
                 assert pow(b, (p - 1) // q, p) != 1
 
 
+def _no_scan(monkeypatch):
+    def fail(bound):
+        raise AssertionError("primes were sieved before the guard")
+
+    monkeypatch.setattr(primescan, "primes_up_to", fail)
+
+
 def test_census_guard_fires_before_the_scan(monkeypatch):
-    from qresidue import primescan
-    from qresidue.covering import GuardError
-
-    def no_scan(bound):
-        raise AssertionError("census scanned primes before its guard")
-
-    monkeypatch.setattr(primescan, "primes_up_to", no_scan)
+    _no_scan(monkeypatch)
     eighteen_primes = [p for p in primes_up_to(67) if p != 3]  # 3^18 points
     with pytest.raises(GuardError):
         census(eighteen_primes, 3, 2 * 10**6)
+
+
+def test_scan_bound_budget_fires_before_the_scan(monkeypatch):
+    _no_scan(monkeypatch)
+    with pytest.raises(GuardError):
+        census([2], 3, SCAN_BOUND_LIMIT + 1)
+    with pytest.raises(GuardError):
+        find_counterexample_prime([2, 3, 6], 3, SCAN_BOUND_LIMIT + 1)
+    with pytest.raises(ValueError):
+        census([2], 3, 99)
+    with pytest.raises(ValueError):
+        find_counterexample_prime([2], 3, 1)
 
 
 # --- reference: the original per-prime loops ------------------------------
