@@ -1,16 +1,48 @@
-"""Arbitrary-precision integer arithmetic: primality, factorization, exact roots."""
+"""Arbitrary-precision integer arithmetic: primality, factorization, exact roots.
+
+factorize() trial-divides by the primes below 2^12, then splits what is left
+with Miller-Rabin and Pollard-Brent rho, within RHO_ITERATION_LIMIT steps per
+factor found.  coprime_base() splits a set of integers into pairwise coprime
+pieces with gcds alone, so that a set whose elements share primes needs one
+factorization per piece, not one per element.
+
+Primality is proven below 3.3e24 (deterministic Miller-Rabin witnesses).  A
+prime factor at or above that bound is accepted after 64 seeded random
+Miller-Rabin rounds: it is a probable prime, not a proven one.
+"""
 
 import math
 import random
 from dataclasses import dataclass
-
-TRIAL_DIVISION_BOUND = 10**6
+from itertools import compress
 
 # Miller-Rabin is deterministic below this bound with the first twelve prime
 # witnesses (Sorenson & Webster).
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_RANDOM_ROUNDS = 64
+
+# Steps of the rho iteration allowed per factor found: ten times sqrt(10^12),
+# so a prime factor up to about 10^12 splits (Brent's variant needed at most
+# 7.4 sqrt(p) steps on 3000 seeded semiprimes), and a cofactor whose smallest
+# prime is far larger fails in a few seconds instead of running for hours.
+RHO_ITERATION_LIMIT = 10**7
+
+
+class GuardError(ValueError):
+    """A work or enumeration guard was exceeded."""
+
+
+def _primes_below(bound):
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    return tuple(compress(range(bound), sieve))
+
+
+_TRIAL_PRIMES = _primes_below(1 << 12)  # 564 primes, 2 to 4093
 
 
 @dataclass(frozen=True)
@@ -62,10 +94,20 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n, rng):
-    # Pollard rho with Brent cycle detection; n odd composite, not a prime power
-    # of a small prime.  Returns a nontrivial factor.
-    if n % 2 == 0:
-        return 2
+    # Pollard rho with Brent cycle detection; n odd composite with no prime
+    # factor below 2^12.  Returns a nontrivial factor, or raises GuardError
+    # once RHO_ITERATION_LIMIT steps of the iteration have found none.
+    budget = RHO_ITERATION_LIMIT
+
+    def spend(steps):
+        nonlocal budget
+        budget -= steps
+        if budget < 0:
+            raise GuardError(
+                f"no factor of the {n.bit_length()}-bit cofactor {n} within "
+                f"{RHO_ITERATION_LIMIT} Pollard rho iterations"
+            )
+
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -74,12 +116,15 @@ def _brent_rho(n, rng):
         x = ys = y
         while g == 1:
             x = y
+            spend(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k)
+                spend(steps)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
@@ -88,6 +133,7 @@ def _brent_rho(n, rng):
         if g == n:
             g = 1
             while g == 1:
+                spend(1)
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
@@ -95,29 +141,30 @@ def _brent_rho(n, rng):
 
 
 def factorize(n: int) -> FactoredInteger:
-    """Exact factorization: trial division to 10^6, then Brent-Pollard rho."""
+    """Exact factorization: trial division by the primes below 2^12, then
+    Miller-Rabin and Brent-Pollard rho on the cofactor.
+
+    Raises GuardError when rho needs more than RHO_ITERATION_LIMIT steps for
+    one factor, which happens only above about 10^12 for the smallest prime
+    factor of the cofactor."""
     if n == 0:
         raise ValueError("cannot factorize 0")
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    d = 7
-    while d <= TRIAL_DIVISION_BOUND and d * d <= m:
-        while m % d == 0:
-            counts[d] = counts.get(d, 0) + 1
-            m //= d
-        d += 2
-    if m > 1:
+        if p * p > m:
+            if m > 1:  # no prime factor up to its square root
+                counts[m] = 1
+            break
+    else:  # m > 4093^2 and has no prime factor below 2^12
         rng = random.Random(m)
         stack = [m]
         while stack:
             v = stack.pop()
-            if v == 1:
-                continue
             if is_probable_prime(v):
                 counts[v] = counts.get(v, 0) + 1
                 continue
@@ -125,6 +172,30 @@ def factorize(n: int) -> FactoredInteger:
             stack.append(g)
             stack.append(v // g)
     return FactoredInteger(sign, tuple(sorted(counts.items())))
+
+
+def coprime_base(ns) -> list[int]:
+    """Pairwise coprime integers > 1 whose primes are exactly the primes of
+    the positive integers ns, found with gcds alone.
+
+    Each x runs along the pieces found so far.  Where g = gcd(x, c) > 1, the
+    piece c gives way to the coprime base of {g, c/g}, whose members are
+    coprime to every other piece because c was, and x goes on as x/g from
+    the same place; x shrinks at every split, so the loop ends."""
+    base = []
+    for x in ns:
+        i = 0
+        while x > 1 and i < len(base):
+            c = base[i]
+            g = math.gcd(x, c)
+            if g == 1:
+                i += 1
+                continue
+            x //= g
+            base[i : i + 1] = coprime_base((g, c // g)) if g < c else (c,)
+        if x > 1:
+            base.append(x)
+    return base
 
 
 def integer_qth_root(n: int, q: int) -> int | None:

@@ -3,8 +3,9 @@
 Human-readable text by default; --json emits a single envelope object
 {schema_version, command, input, result, timing_ms} on stdout.  Exit codes:
 0 for success/Yes, 1 for a definitive No (or disagreements), 2 for usage and
-guard errors, 3 for an internal error (a failed self-check), which is never
-reported as a verdict.
+guard errors (a factoring input over the Pollard rho budget among them), 3 for
+an internal error (a failed self-check), and 130 when the run is interrupted
+(Ctrl-C); the last two are never reported as a verdict.
 """
 
 import argparse
@@ -360,6 +361,9 @@ def main(argv=None) -> int:
     except (RuntimeError, AssertionError) as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

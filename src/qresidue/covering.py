@@ -16,11 +16,9 @@ from functools import cached_property, reduce
 from itertools import islice, product
 from operator import or_
 
+from .arith import GuardError
+
 POINT_ENUMERATION_LIMIT = 10**8
-
-
-class GuardError(ValueError):
-    """An enumeration guard was exceeded."""
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,17 @@
 Each input integer is reduced to its q-free part (exponents mod q); perfect
 q-th powers short-circuit into a trivial certificate.  The surviving columns
 form an exponent matrix over F_q whose columns are hyperplane normals.
+
+The set is factored as a whole: arith.coprime_base splits the elements into
+pairwise coprime pieces with gcds, factorize runs once per piece, and each
+element's exponents are read by dividing the primes found out of it.  Primes
+that several elements share are therefore found once.
 """
 
 from dataclasses import dataclass
 from math import prod
 
-from .arith import factorize, integer_qth_root, is_probable_prime
+from .arith import coprime_base, factorize, integer_qth_root, is_probable_prime
 from .covering import Hyperplane
 
 
@@ -63,17 +68,29 @@ class ResidueProfile:
         return tuple(self.exponents[i][j] for i in range(self.k))
 
 
-def _qfree_part(b, q):
-    """(q-free part of |b|, {prime: exponent mod q}) with zero exponents dropped."""
-    factors = {p: e % q for p, e in factorize(abs(b)).factors if e % q}
-    return prod(p**e for p, e in factors.items()), factors
+def _qfree_part(factors, q):
+    """(q-free part, {prime: exponent mod q}) of (prime, exponent) pairs, with
+    zero exponents dropped."""
+    reduced = {p: e % q for p, e in factors if e % q}
+    return prod(p**e for p, e in reduced.items()), reduced
+
+
+def _valuations(n, primes):
+    """(p, v_p(n)) for each p in primes that divides n."""
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            yield p, e
 
 
 def rad_q(b: int, q: int) -> int:
     """The q-free part of |b|: every exponent reduced mod q; 1 for q-th powers."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    return _qfree_part(b, q)[0]
+    return _qfree_part(factorize(abs(b)).factors, q)[0]
 
 
 def build_profile(qinput: QInput):
@@ -83,10 +100,12 @@ def build_profile(qinput: QInput):
         r = integer_qth_root(abs(b), q)
         if r is not None:
             return TrivialCertificate(idx, r if b > 0 else -r)
+    pieces = coprime_base(abs(b) for b in qinput.elements)
+    primes = [p for c in pieces for p, _ in factorize(c).factors]
     columns = []  # (qfree value, {prime: exponent}, source element)
     seen = set()
     for b in qinput.elements:
-        value, factors = _qfree_part(b, q)
+        value, factors = _qfree_part(_valuations(abs(b), primes), q)
         if value in seen:
             continue
         seen.add(value)

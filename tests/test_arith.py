@@ -1,13 +1,76 @@
 import random
+from math import gcd, prod
 
 import pytest
 
 from qresidue.arith import (
+    FactoredInteger,
+    _brent_rho,
+    coprime_base,
     factorize,
     integer_qth_root,
     is_perfect_qth_power,
     is_probable_prime,
 )
+
+
+def reference_factorize(n):
+    """Reference route, one element at a time: trial division by 2, 3, 5 and
+    every odd d <= 10^6, then Miller-Rabin and rho on what is left."""
+    sign = 1 if n > 0 else -1
+    m = abs(n)
+    counts = {}
+    for p in (2, 3, 5):
+        while m % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            m //= p
+    d = 7
+    while d <= 10**6 and d * d <= m:
+        while m % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            m //= d
+        d += 2
+    if m > 1:
+        rng = random.Random(m)
+        stack = [m]
+        while stack:
+            v = stack.pop()
+            if is_probable_prime(v):
+                counts[v] = counts.get(v, 0) + 1
+                continue
+            g = _brent_rho(v, rng)
+            stack.append(g)
+            stack.append(v // g)
+    return FactoredInteger(sign, tuple(sorted(counts.items())))
+
+
+def random_prime(rng, lo, hi):
+    while True:
+        n = rng.randrange(lo, hi) | 1
+        if is_probable_prime(n):
+            return n
+
+
+def shared_prime_sets(seed, count):
+    """Seeded (primes, elements) pairs: elements are signed products of a few
+    primes in (10^6, 10^9) shared across the set, primes in (2^12, 10^5) and
+    small primes, each to a power in {1, 2, 3, 4}; every set holds two equal
+    elements, and one in ten also holds +1 or -1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        primes = [random_prime(rng, 10**6, 10**9) for _ in range(rng.randint(1, 3))]
+        primes += [random_prime(rng, 1 << 12, 10**5) for _ in range(rng.randint(0, 2))]
+        primes += rng.sample([2, 3, 5, 7, 4093], rng.randint(0, 2))
+        elements = []
+        for _ in range(rng.randint(2, 5)):
+            used = rng.sample(primes, rng.randint(1, min(3, len(primes))))
+            b = prod(p ** rng.randint(1, 4) for p in used)
+            elements.append(rng.choice([-1, 1]) * b)
+        elements.append(rng.choice(elements))  # an equal element
+        if rng.random() < 0.1:
+            elements.append(rng.choice([-1, 1]))
+        rng.shuffle(elements)
+        yield sorted(set(primes)), elements
 
 
 def test_is_probable_prime_examples():
@@ -59,6 +122,37 @@ def test_factorize_random_roundtrip():
         assert all(e >= 1 for _, e in f.factors)
         primes = [p for p, _ in f.factors]
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
+
+
+def test_factorize_matches_trial_division_reference():
+    rng = random.Random(41)
+    ns = [1, -1, 2, -2, 4093 * 4099, -(4099**3), 2**40 * 3**5, 4093**3, 4093**2 * 4099**2]
+    for _ in range(20):
+        p = random_prime(rng, 1 << 12, 10**6)
+        ns += [p**2, -(p**3), p**2 * random_prime(rng, 3, 1 << 12)]
+    for _ in range(4):
+        ns.append(random_prime(rng, 10**6, 10**9) ** rng.randint(2, 3))
+    for _, elements in shared_prime_sets(43, 2):
+        ns += elements
+    for n in ns:
+        assert factorize(n) == reference_factorize(n), n
+
+
+def test_coprime_base():
+    assert coprime_base([]) == [] and coprime_base([1, 1]) == []
+    assert sorted(coprime_base([12, 18])) == [2, 3]
+    assert coprime_base([6, 6]) == [6]
+    for primes, elements in shared_prime_sets(47, 60):
+        base = coprime_base(abs(b) for b in elements)
+        assert all(c > 1 for c in base)
+        assert all(gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1 :])
+        support = {p for b in elements for p in primes if b % p == 0}
+        assert {p for c in base for p in primes if c % p == 0} == support
+        for c in base:  # no prime outside the input's
+            for p in support:
+                while c % p == 0:
+                    c //= p
+            assert c == 1
 
 
 def test_integer_qth_root_examples():

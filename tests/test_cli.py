@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qresidue import criterion
+from qresidue import cli, criterion
 from qresidue.cli import main
 
 
@@ -187,3 +187,20 @@ def test_oracle_check_exhaustive_work_budget(capsys):
     )
     assert code == 2 and out == "" and "exceeds" in err
 
+
+def test_rho_budget_is_a_guard_error(capsys):
+    # S = (10^19 + 51)(3 * 10^19 + 41): 39 digits, no factor below 10^19
+    s = (10**19 + 51) * (3 * 10**19 + 41)
+    code, out, err = run(capsys, "decide", "--q", "3", "--set", f"2,3,{s}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Pollard rho iterations" in err
+
+
+def test_keyboard_interrupt_is_not_a_verdict(capsys, monkeypatch):
+    def interrupted(qinput):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "decide", interrupted)
+    code, out, err = run(capsys, "--json", "decide", "--q", "3", "--set", "2,3,6")
+    assert code == 130
+    assert out == "" and err.strip() == "interrupted"

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from qresidue.arith import factorize
+from test_arith import reference_factorize, shared_prime_sets
+
+from qresidue.arith import factorize, integer_qth_root
 from qresidue.profiles import (
     QInput,
     ResidueProfile,
@@ -110,3 +112,36 @@ def test_profile_invariants_random():
             assert value == profile.qfree_values[j]
         for p in profile.support_primes:
             assert any(v % p == 0 for v in profile.qfree_values)
+
+
+def reference_build_profile(qinput):
+    """Reference route: each element factored on its own by reference_factorize."""
+    q = qinput.q
+    for idx, b in enumerate(qinput.elements):
+        r = integer_qth_root(abs(b), q)
+        if r is not None:
+            return TrivialCertificate(idx, r if b > 0 else -r)
+    columns, seen = [], set()
+    for b in qinput.elements:
+        fac = {p: e % q for p, e in reference_factorize(abs(b)).factors if e % q}
+        value = 1
+        for p, e in fac.items():
+            value *= p**e
+        if value not in seen:
+            seen.add(value)
+            columns.append((value, fac, b))
+    support = sorted({p for _, fac, _ in columns for p in fac})
+    return ResidueProfile(
+        q,
+        tuple(support),
+        tuple(tuple(fac.get(p, 0) for _, fac, _ in columns) for p in support),
+        {j: src for j, (_, _, src) in enumerate(columns)},
+        tuple(value for value, _, _ in columns),
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_build_profile_matches_per_element_reference(q):
+    for _, elements in shared_prime_sets(50 + q, 5):
+        qinput = QInput(q, tuple(elements))
+        assert build_profile(qinput) == reference_build_profile(qinput), elements
