@@ -217,11 +217,3 @@ def integer_qth_root(n: int, q: int) -> int | None:
         x -= 1
     return x if x**q == n else None
 
-
-def is_perfect_qth_power(b: int, q: int) -> bool:
-    """True iff b = r^q for some integer r; for odd q the sign is irrelevant."""
-    if b == 0:
-        raise ValueError("b must be nonzero")
-    if q % 2 == 0 or not is_probable_prime(q):
-        raise ValueError("q must be an odd prime")
-    return integer_qth_root(abs(b), q) is not None

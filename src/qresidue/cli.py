@@ -4,12 +4,15 @@ Human-readable text by default; --json emits a single envelope object
 {schema_version, command, input, result, timing_ms} on stdout.  Exit codes:
 0 for success/Yes, 1 for a definitive No (or disagreements), 2 for usage and
 guard errors (a factoring input over the Pollard rho budget among them), 3 for
-an internal error (a failed self-check), and 130 when the run is interrupted
-(Ctrl-C); the last two are never reported as a verdict.
+an internal error (a failed self-check), 130 when the run is interrupted
+(Ctrl-C), and 141 when the reader closes stdout before the output is written
+(a broken pipe, as 128 + SIGPIPE); the last three are never reported as a
+verdict.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from itertools import islice, product
@@ -37,15 +40,15 @@ def _parse_q(value):
     return q
 
 
-def _parse_set(text):
+def _parse_set(text, name, entries):
     try:
         elems = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as e:
         raise UsageError(f"malformed integer list: {text!r}") from e
     if not elems:
-        raise UsageError("element set must be nonempty")
+        raise UsageError(f"{name} must be nonempty")
     if any(b == 0 for b in elems):
-        raise UsageError("elements must be nonzero")
+        raise UsageError(f"{entries} must be nonzero")
     return elems
 
 
@@ -55,8 +58,7 @@ def _assignment_digest(covering):
     digits = [str(x) for x in range(covering.q)]
     keys = islice(map(",".join, product(digits, repeat=covering.k)), 1, None)
     assignment = covering.assignment
-    digest = dict(zip(keys, assignment.values()))
-    return {"points_assigned": len(assignment), "assignment": digest}
+    return {"points_assigned": len(assignment), "assignment": dict(zip(keys, assignment))}
 
 
 def _decision_result(args):
@@ -164,15 +166,6 @@ def cmd_census(args):
     }
 
 
-def _default_primes(q, k):
-    primes, p = [], 3
-    while len(primes) < k:
-        if p != q and is_probable_prime(p):
-            primes.append(p)
-        p += 2
-    return primes
-
-
 def cmd_synthesize(args):
     if args.k < 2:
         raise UsageError("k must be >= 2")
@@ -187,7 +180,7 @@ def cmd_synthesize(args):
             if not is_probable_prime(p):
                 raise UsageError(f"{p} is not prime")
     else:
-        primes = _default_primes(args.q, args.k)
+        primes = list(criterion.first_odd_primes(args.q, args.k))
     hyperplanes = synthesize_covering(args.k, args.q)
     B = []
     for h in hyperplanes:
@@ -346,12 +339,14 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         args.q = _parse_q(args.q)
-        if hasattr(args, "set"):
-            args.set = _parse_set(args.set)
-        if getattr(args, "c", None) is not None:
-            args.c = _parse_set(args.c)
-        if getattr(args, "primes", None) is not None:
-            args.primes = _parse_set(args.primes)
+        # integer lists: (attribute, name of the list, name of its entries)
+        for attr, name, entries in (
+            ("set", "element set", "elements"),
+            ("c", "--c", "--c entries"),
+            ("primes", "--primes", "--primes entries"),
+        ):
+            if getattr(args, attr, None) is not None:
+                setattr(args, attr, _parse_set(getattr(args, attr), name, entries))
         start = time.perf_counter()
         code, result = args.func(args)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -375,12 +370,19 @@ def main(argv=None) -> int:
         "result": result,
         "timing_ms": round(elapsed_ms, 3),
     }
-    if args.json:
-        # dumps, not dump: only the one-shot encoder runs in C
-        print(json.dumps(envelope, default=str))
-    else:
-        print(f"command: {args.command}")
-        _print_text(result)
+    try:
+        if args.json:
+            # dumps, not dump: only the one-shot encoder runs in C
+            print(json.dumps(envelope, default=str))
+        else:
+            print(f"command: {args.command}")
+            _print_text(result)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

@@ -5,15 +5,15 @@ lexicographic order, first coordinate most significant, and point j is bit j
 of a Python int.  zero_mask() builds the point set of one hyperplane as such a
 mask.  A family covers F_q^k iff the OR of its masks has all q^k bits set; its
 lexicographically first gap is the lowest zero bit of the OR, and the number
-of uncovered points is q^k minus the popcount.
+of uncovered points is q^k minus the popcount.  The Yes assignment lists, in
+the same order, the index of the first hyperplane that holds each nonzero
+point.
 """
 
 import sys
 from array import array
-from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import islice, product
 from operator import or_
 
 from .arith import GuardError
@@ -32,10 +32,6 @@ class Hyperplane:
         object.__setattr__(self, "normal", tuple(x % self.q for x in self.normal))
         if all(x == 0 for x in self.normal):
             raise ValueError("hyperplane normal must be nonzero")
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.normal)
 
     def contains(self, v) -> bool:
         return sum(a * b for a, b in zip(self.normal, v)) % self.q == 0
@@ -96,56 +92,15 @@ def _first_containing(masks, n) -> array:
     return first
 
 
-class PointAssignment(Mapping):
-    """Read-only map from each nonzero point of F_q^k to a hyperplane index.
-
-    Keys come in lexicographic order and are generated, not stored.  The
-    index of every point is computed from the zero masks on first lookup.
-    """
-
-    def __init__(self, masks, k, q):
-        self._masks, self._k, self._q = masks, k, q
-
-    @cached_property
-    def _first(self) -> array:
-        return _first_containing(self._masks, self._q**self._k)
-
-    def __len__(self):
-        return self._q**self._k - 1
-
-    def __iter__(self):
-        return islice(product(range(self._q), repeat=self._k), 1, None)
-
-    def __getitem__(self, v):
-        if not (
-            isinstance(v, tuple)
-            and len(v) == self._k
-            and all(isinstance(x, int) and 0 <= x < self._q for x in v)
-            and any(v)
-        ):
-            raise KeyError(v)
-        j = 0
-        for x in v:
-            j = j * self._q + x
-        return self._first[j]
-
-    def values(self):
-        return _Indices(self)
-
-
-class _Indices(ValuesView):
-    def __iter__(self):
-        return islice(self._mapping._first, 1, None)
-
-
 class CoveringResult:
     """Whether a hyperplane family covers F_q^k, with an assignment or a witness.
 
     `covered` is settled on construction.  `witness`, the lexicographically
-    first uncovered point, is None when covered; `assignment`, each nonzero
-    point to the first hyperplane (in input order) containing it, is None when
-    not.  Both are derived on first use from the zero masks, which are built
-    at most once.
+    first uncovered point, is None when covered; `assignment` is None when
+    not.  Otherwise it is a read-only memoryview of q^k - 1 hyperplane
+    indices, one per nonzero point in lexicographic order: the first
+    hyperplane (in input order) that contains the point.  Both are derived on
+    first use from the zero masks, which are built at most once.
     """
 
     def __init__(self, hyperplanes, k, q):
@@ -171,15 +126,16 @@ class CoveringResult:
         return _point(gap.bit_length() - 1, self.k, self.q)
 
     @cached_property
-    def assignment(self) -> PointAssignment | None:
+    def assignment(self) -> memoryview | None:
         if not self.covered:
             return None
-        return PointAssignment(self.masks, self.k, self.q)
+        first = _first_containing(self.masks, self.q**self.k)
+        return memoryview(first)[1:].toreadonly()  # entry 0 is the origin
 
 
 def _check_family(hyperplanes, k, q):
     for h in hyperplanes:
-        if h.ambient_dim != k or h.q != q:
+        if len(h.normal) != k or h.q != q:
             raise ValueError("hyperplane dimension/modulus mismatch")
     if q**k > POINT_ENUMERATION_LIMIT:
         raise GuardError(f"q^k = {q**k} exceeds enumeration limit {POINT_ENUMERATION_LIMIT}")
@@ -234,6 +190,7 @@ def minimal_cover(hyperplanes, k, q) -> list[int] | None:
     branch([], 1)  # the zero vector lies on every hyperplane
     return best
 
+
 def synthesize_covering(k, q) -> list[Hyperplane]:
     """The pencil covering of F_q^k by q+1 hyperplanes.
 
@@ -247,9 +204,3 @@ def synthesize_covering(k, q) -> list[Hyperplane]:
     normals += [(1, t) + pad for t in range(1, q)]
     return [Hyperplane(n, q) for n in normals]
 
-
-def normalize_hyperplane(h: Hyperplane) -> Hyperplane:
-    """Scale so the first nonzero coordinate is 1 (canonical projective form)."""
-    lead = next(x for x in h.normal if x != 0)
-    inv = pow(lead, -1, h.q)
-    return Hyperplane(tuple(x * inv % h.q for x in h.normal), h.q)

@@ -131,15 +131,6 @@ def counterexample_c(profile: ResidueProfile, d) -> tuple[int, ...]:
     return c
 
 
-def zero_entry_witness(profile: ResidueProfile, c, d) -> int:
-    """Column index annihilating d, i.e. the zero entry of d^T M(c)."""
-    _check_c(profile, c)
-    sums = fqlinalg.vec_mat(d, profile.exponents, profile.q)
-    if 0 in sums:
-        return sums.index(0)
-    raise RuntimeError("no column annihilates d; the covering assignment is wrong")
-
-
 def exponent_twist(qinput: QInput, a) -> QInput:
     """Replace each b_j by b_j^(a_j) for nonzero exponents a_j; verdict-invariant."""
     if len(a) != len(qinput.elements):
@@ -152,15 +143,16 @@ def exponent_twist(qinput: QInput, a) -> QInput:
 # --- covering-vs-oracle agreement sweeps -----------------------------------
 
 @cache
-def _synthetic_primes(q, k):
-    """The first k primes other than q: one support prime per matrix row."""
-    return tuple(islice((p for p in count(2) if p != q and is_probable_prime(p)), k))
+def first_odd_primes(q, k):
+    """The first k odd primes other than q: support primes of synthetic
+    profiles (one per matrix row) and of `synthesize` fixtures."""
+    return tuple(islice((p for p in count(3, 2) if p != q and is_probable_prime(p)), k))
 
 
 def profile_from_columns(q, columns) -> ResidueProfile:
     """Synthetic profile with the given nonzero exponent columns over F_q."""
     k = len(columns[0])
-    primes = _synthetic_primes(q, k)
+    primes = first_odd_primes(q, k)
     exponents = tuple(
         tuple(col[i] % q for col in columns) for i in range(k)
     )

@@ -14,25 +14,12 @@ from fractions import Fraction
 from itertools import compress
 from math import isqrt, prod
 
-from .arith import factorize
 from .covering import GuardError, uncovered_count
 from .profiles import QInput, TrivialCertificate, build_profile, hyperplanes_of
 
 SEGMENT_SIZE = 10**6
 SCAN_BOUND_LIMIT = 10**7
 _FAILING_LIST_CAP = 25
-
-
-@dataclass(frozen=True)
-class ResidueSymbol:
-    """Index j with b^((p-1)/q) = zeta^j mod p, for the canonical zeta."""
-
-    value: int
-    q: int
-
-    @property
-    def trivial(self) -> bool:
-        return self.value == 0
 
 
 @dataclass(frozen=True)
@@ -76,37 +63,6 @@ def primes_up_to(bound):
             seg[start - low :: p] = bytearray(len(seg[start - low :: p]))
         yield from compress(range(low, high + 1), seg)
         low = high + 1
-
-
-def least_primitive_root(p: int) -> int:
-    order_factors = [f for f, _ in factorize(p - 1).factors]
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // f, p) != 1 for f in order_factors):
-            return g
-        g += 1
-
-
-def canonical_zeta(p: int, q: int) -> int:
-    """g^((p-1)/q) mod p for the least primitive root g; has exact order q."""
-    if p % q != 1:
-        raise ValueError("p must be 1 mod q")
-    return pow(least_primitive_root(p), (p - 1) // q, p)
-
-
-def residue_symbol(b: int, p: int, q: int) -> ResidueSymbol:
-    if p % q != 1:
-        raise ValueError("p must be 1 mod q")
-    if b % p == 0:
-        raise ValueError("p must not divide b")
-    s = pow(b, (p - 1) // q, p)
-    zeta = canonical_zeta(p, q)
-    cur = 1
-    for j in range(q):
-        if cur == s:
-            return ResidueSymbol(j, q)
-        cur = cur * zeta % p
-    raise RuntimeError(f"{s} is not in the order-{q} subgroup mod {p}")
 
 
 def _is_qth_power(b, p, q) -> bool:
@@ -189,53 +145,3 @@ def census(B, q, bound) -> DensityReport:
         empirical_density=empirical,
         predicted_density=predicted,
     )
-
-
-def qth_root_mod_p(b, p, q) -> int | None:
-    """Some r with r^q = b mod p, or None if b is not a q-th power residue."""
-    if p == q:
-        raise ValueError("p = q is excluded")
-    if b % p == 0:
-        raise ValueError("p must not divide b")
-    a = b % p
-    if p % q != 1:
-        # q-th power map is a bijection on F_p*
-        return pow(a, pow(q, -1, p - 1), p)
-    if pow(a, (p - 1) // q, p) != 1:
-        return None
-    s, t = 0, p - 1
-    while t % q == 0:
-        s += 1
-        t //= q
-    if s == 1:
-        r = pow(a, pow(q, -1, t), p)
-    else:
-        r = _amm_root(a, p, q, s, t)
-    assert pow(r, q, p) == a
-    return r
-
-
-def _amm_root(a, p, q, s, t):
-    # Adleman-Manders-Miller: split a across the CRT decomposition of F_p*
-    # into its order-t part and its Sylow q-part of order q^s.
-    qs = q**s
-    inv_t = pow(t, -1, qs)
-    B = inv_t  # B*t = 1 mod qs
-    A = (1 - B * t) // qs
-    y1 = pow(a, A * qs % (p - 1), p)  # order divides t
-    root1 = pow(y1, pow(q, -1, t) if t > 1 else 0, p)
-    y2 = pow(a, B * t % (p - 1), p)  # lies in the Sylow q-subgroup
-    n = 2
-    while pow(n, (p - 1) // q, p) == 1:
-        n += 1
-    g = pow(n, t, p)  # generator of the Sylow q-subgroup
-    zeta = pow(g, qs // q, p)
-    table = {pow(zeta, i, p): i for i in range(q)}
-    ginv = pow(g, -1, p)
-    mu = 0
-    for i in range(s):
-        w = pow(y2 * pow(ginv, mu, p) % p, q ** (s - 1 - i), p)
-        mu += table[w] * q**i
-    assert mu % q == 0  # a is a residue, so its Sylow component is a q-th power
-    root2 = pow(g, mu // q, p)
-    return root1 * root2 % p

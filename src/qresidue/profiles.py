@@ -86,13 +86,6 @@ def _valuations(n, primes):
             yield p, e
 
 
-def rad_q(b: int, q: int) -> int:
-    """The q-free part of |b|: every exponent reduced mod q; 1 for q-th powers."""
-    if b == 0:
-        raise ValueError("b must be nonzero")
-    return _qfree_part(factorize(abs(b)).factors, q)[0]
-
-
 def build_profile(qinput: QInput):
     """ResidueProfile for (B, q), or a TrivialCertificate if B contains r^q."""
     q = qinput.q

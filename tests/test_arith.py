@@ -9,7 +9,6 @@ from qresidue.arith import (
     coprime_base,
     factorize,
     integer_qth_root,
-    is_perfect_qth_power,
     is_probable_prime,
 )
 
@@ -169,10 +168,3 @@ def test_integer_qth_root_random():
         assert integer_qth_root(r**q, q) == r
         if integer_qth_root(r**q + 1, q) is not None:
             assert integer_qth_root(r**q + 1, q) ** q == r**q + 1
-
-
-def test_is_perfect_qth_power():
-    assert is_perfect_qth_power(-8, 3)
-    assert is_perfect_qth_power(32, 5)
-    assert not is_perfect_qth_power(12, 3)
-    assert is_perfect_qth_power(1, 3) and is_perfect_qth_power(-1, 3)

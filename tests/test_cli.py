@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +114,11 @@ def test_synthesize(capsys):
     code, env, _ = run_json(capsys, "synthesize", "--q", "5", "--k", "2")
     assert code == 0 and len(env["result"]["set"]) == 6
 
+    # the default primes: the first k odd primes other than q
+    for q, primes in (("3", [5, 7, 11]), ("5", [3, 7, 11])):
+        code, env, _ = run_json(capsys, "synthesize", "--q", q, "--k", "3")
+        assert code == 0 and env["result"]["primes"] == primes
+
 
 def test_synthesize_twists(capsys):
     code, env, _ = run_json(
@@ -131,6 +140,31 @@ def test_oracle_check(capsys):
         "--mode", "exhaustive",
     )
     assert code == 0 and env["result"]["disagreements"] == 0
+
+
+def test_list_usage_errors_name_their_flag(capsys):
+    code, out, err = run(capsys, "certificate", "--q", "3", "--set", "2,3,6,12", "--c", "0,1,1,1")
+    assert code == 2 and out == "" and err.strip() == "error: --c entries must be nonzero"
+    code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2", "--primes", ",")
+    assert code == 2 and out == "" and err.strip() == "error: --primes must be nonempty"
+    code, _, err = run(capsys, "decide", "--q", "3", "--set", ",")
+    assert code == 2 and err.strip() == "error: element set must be nonempty"
+
+
+def test_closed_pipe_is_not_a_verdict():
+    # A reader that stops after one byte: the rest of the output meets a
+    # broken pipe, which must exit 141 without a traceback, not 1 ("No").
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = ["--json", "synthesize", "--q", "5", "--k", "3", "--twists", "20000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qresidue.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
 
 
 def test_text_output_default(capsys):

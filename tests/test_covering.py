@@ -8,7 +8,6 @@ from qresidue.covering import (
     Hyperplane,
     covers,
     minimal_cover,
-    normalize_hyperplane,
     synthesize_covering,
     uncovered_count,
     zero_mask,
@@ -49,13 +48,16 @@ F32_COVER = [(1, 0), (0, 1), (1, 1), (2, 1)]
 
 
 def test_covers_paper_cubic_family():
-    result = covers(planes(F32_COVER, 3), 2, 3)
+    hs = planes(F32_COVER, 3)
+    result = covers(hs, 2, 3)
     assert result.covered
-    # full verification of the assignment
-    for v, idx in result.assignment.items():
-        h = planes(F32_COVER, 3)[idx]
-        assert h.contains(v)
+    # full verification of the assignment: one entry per nonzero point
+    _, _, assignment = reference_covers(hs, 2, 3)
     assert len(result.assignment) == 3**2 - 1
+    for idx, (v, expected) in zip(result.assignment, assignment.items(), strict=True):
+        assert idx == expected and hs[idx].contains(v)
+    with pytest.raises(TypeError):
+        result.assignment[0] = 1
 
 
 def test_covers_missing_plane():
@@ -157,27 +159,6 @@ def test_synthesized_covers_meet_the_covering_number():
             assert len(minimal_cover(hs, k, q)) == q + 1
 
 
-def test_normalize_hyperplane():
-    assert normalize_hyperplane(Hyperplane((2, 1), 3)).normal == (1, 2)
-    assert normalize_hyperplane(Hyperplane((1, 1), 3)).normal == (1, 1)
-    assert normalize_hyperplane(Hyperplane((0, 3), 5)).normal == (0, 1)
-
-
-def test_normalize_preserves_solution_set():
-    rng = random.Random(29)
-    for _ in range(100):
-        q = rng.choice([3, 5])
-        k = rng.randint(1, 3)
-        n = tuple(rng.randrange(q) for _ in range(k))
-        if not any(n):
-            continue
-        h = Hyperplane(n, q)
-        g = normalize_hyperplane(h)
-        assert normalize_hyperplane(g) == g
-        for v in product(range(q), repeat=k):
-            assert h.contains(v) == g.contains(v)
-
-
 def test_uncovered_count():
     assert uncovered_count(planes(F32_COVER, 3), 2, 3) == 0
     assert uncovered_count(planes([(1, 0), (0, 1), (1, 1)], 3), 2, 3) == 2
@@ -231,11 +212,8 @@ def test_bitmask_engine_matches_enumeration(q, k_max):
         assert result.covered == covered
         assert result.witness == witness
         if covered:
-            assert list(result.assignment.items()) == list(assignment.items())
-            assert list(result.assignment.values()) == list(assignment.values())
-            assert result.assignment == assignment
-            assert (0,) * k not in result.assignment
-            assert (q,) + (0,) * (k - 1) not in result.assignment
+            # entry by entry, nonzero points in lexicographic order
+            assert list(result.assignment) == list(assignment.values())
         else:
             assert result.assignment is None
         assert uncovered_count(hs, k, q) == reference_uncovered_count(hs, k, q)
@@ -251,13 +229,13 @@ def test_empty_family_witness_is_origin():
 
 @pytest.mark.parametrize("q,k", [(3, 2), (3, 3), (5, 2)])
 def test_at_most_q_hyperplanes_never_cover(q, k):
-    # Every family up to scalar multiples; repeating a hyperplane adds nothing.
-    projective = {
-        normalize_hyperplane(h).normal
-        for h in planes([v for v in product(range(q), repeat=k) if any(v)], q)
-    }
+    # Every family up to scalar multiples, one normal per class (the one whose
+    # first nonzero entry is 1); repeating a hyperplane adds nothing.
+    projective = [
+        v for v in product(range(q), repeat=k) if any(v) and next(filter(None, v)) == 1
+    ]
     for size in range(q + 1):
-        for subset in combinations(sorted(projective), size):
+        for subset in combinations(projective, size):
             hs = planes(subset, q)
             assert not covers(hs, k, q).covered
             assert uncovered_count(hs, k, q) >= q - 1

@@ -19,7 +19,6 @@ from qresidue.criterion import (
     skalba_oracle,
     skalba_solve,
     twisted_matrix,
-    zero_entry_witness,
 )
 from qresidue.fqlinalg import vec_mat
 from qresidue.profiles import QInput, build_profile, hyperplanes_of
@@ -123,19 +122,6 @@ def test_counterexample_c_yields_all_ones():
 def test_counterexample_c_rejects_covered_d():
     with pytest.raises(ValueError):
         counterexample_c(build_profile(CUBE_NO), (1, 0))  # annihilated by column of 3
-
-
-def test_zero_entry_witness():
-    profile = build_profile(CUBE_YES)
-    assert zero_entry_witness(profile, [1, 1, 1, 1], (1, 1)) == 3
-    assert zero_entry_witness(profile, [1, 1, 1, 1], (0, 0)) == 0
-    assert zero_entry_witness(profile, [1, 1, 1, 1], (1, 0)) == 1
-
-
-def test_zero_entry_witness_fails_without_covering():
-    profile = build_profile(CUBE_NO)
-    with pytest.raises(RuntimeError):
-        zero_entry_witness(profile, [1, 1, 1], (1, 1))
 
 
 def test_exponent_twist_examples():

@@ -8,15 +8,11 @@ from qresidue.covering import GuardError
 from qresidue.primescan import (
     SCAN_BOUND_LIMIT,
     DensityReport,
-    canonical_zeta,
     census,
     find_counterexample_prime,
     has_qth_power_mod_p,
-    least_primitive_root,
     predicted_failure_density,
     primes_up_to,
-    qth_root_mod_p,
-    residue_symbol,
 )
 
 
@@ -33,57 +29,6 @@ def test_primes_up_to_crosses_segment_boundary():
     assert primes == [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
 
 
-def test_canonical_zeta():
-    assert least_primitive_root(13) == 2
-    assert canonical_zeta(13, 3) == 3  # 2^4 = 16
-    assert least_primitive_root(7) == 3
-    assert canonical_zeta(7, 3) == 2  # 3^2 = 9
-    assert canonical_zeta(11, 5) == 4  # 2^2
-    with pytest.raises(ValueError):
-        canonical_zeta(11, 3)
-
-
-def test_canonical_zeta_has_order_q():
-    for p, q in ((13, 3), (31, 5), (61, 3), (71, 7)):
-        z = canonical_zeta(p, q)
-        assert pow(z, q, p) == 1
-        assert all(pow(z, j, p) != 1 for j in range(1, q))
-
-
-def test_residue_symbol_examples():
-    assert residue_symbol(6, 7, 3).trivial  # 6 = -1 is a cube mod 7
-    sym = residue_symbol(2, 13, 3)
-    assert not sym.trivial
-    for p in (7, 13, 31, 43):
-        assert residue_symbol(8, p, 3).trivial
-    with pytest.raises(ValueError):
-        residue_symbol(13, 13, 3)
-    with pytest.raises(ValueError):
-        residue_symbol(2, 11, 3)
-
-
-def test_residue_symbol_multiplicative():
-    rng = random.Random(61)
-    for p, q in ((13, 3), (31, 3), (31, 5), (101, 5), (9973, 3)):
-        for _ in range(100):
-            a = rng.randrange(1, p)
-            b = rng.randrange(1, p)
-            sa = residue_symbol(a, p, q).value
-            sb = residue_symbol(b, p, q).value
-            sab = residue_symbol(a * b, p, q).value
-            assert sab == (sa + sb) % q
-
-
-def test_residue_symbol_triviality_matches_enumeration():
-    for q in (3, 5):
-        for p in primes_up_to(500):
-            if p % q != 1:
-                continue
-            residues = {pow(x, q, p) for x in range(1, p)}
-            for b in range(1, min(p, 30)):
-                assert residue_symbol(b, p, q).trivial == (b % p in residues)
-
-
 def test_has_qth_power_mod_p():
     rep = has_qth_power_mod_p([2, 3, 6], 13, 3)
     assert rep.splits and not rep.outcome
@@ -96,6 +41,17 @@ def test_has_qth_power_mod_p():
         has_qth_power_mod_p([2, 3], 3, 3)
     with pytest.raises(ValueError):
         has_qth_power_mod_p([2, 3], 2, 3)
+    # Euler's criterion at split primes, and every unit at the others,
+    # against the q-th powers of F_p* listed one by one
+    for q in (3, 5):
+        for p in primes_up_to(200):
+            if p == q:
+                continue
+            residues = {pow(x, q, p) for x in range(1, p)}
+            B = range(1, min(p, 30))
+            rep = has_qth_power_mod_p(B, p, q)
+            assert rep.splits == (p % q == 1)
+            assert rep.per_element == tuple((b, b in residues) for b in B)
 
 
 def test_find_counterexample_prime():
@@ -128,48 +84,6 @@ def test_census_two_dim_density():
     assert rep.predicted_density == Fraction(1, 9)
     assert abs(float(rep.empirical_density) - 1 / 9) <= 0.02
     assert rep.failing_primes[0] == 13
-
-
-def test_qth_root_mod_p():
-    r = qth_root_mod_p(6, 7, 3)
-    assert pow(r, 3, 7) == 6
-    assert qth_root_mod_p(2, 5, 3) == 3
-    assert qth_root_mod_p(2, 13, 3) is None
-    with pytest.raises(ValueError):
-        qth_root_mod_p(2, 3, 3)
-    with pytest.raises(ValueError):
-        qth_root_mod_p(26, 13, 3)
-
-
-def test_qth_root_matches_enumeration():
-    for q in (3, 5):
-        for p in primes_up_to(200):
-            if p == q:
-                continue
-            roots = {}
-            for x in range(1, p):
-                roots.setdefault(pow(x, q, p), set()).add(x)
-            for b in range(1, p):
-                r = qth_root_mod_p(b, p, q)
-                if r is None:
-                    assert b not in roots
-                else:
-                    assert pow(r, q, p) == b
-
-
-def test_qth_root_high_q_valuation():
-    # p - 1 divisible by q^2 exercises the Sylow-subgroup discrete log
-    cases = [(19, 3), (163, 3), (1459, 3), (101, 5), (15101, 5)]
-    for p, q in cases:
-        assert (p - 1) % q**2 == 0
-        for b in range(2, 40):
-            if b % p == 0:
-                continue
-            r = qth_root_mod_p(b, p, q)
-            if r is not None:
-                assert pow(r, q, p) == b % p
-            else:
-                assert pow(b, (p - 1) // q, p) != 1
 
 
 def _no_scan(monkeypatch):

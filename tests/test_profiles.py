@@ -4,14 +4,13 @@ import pytest
 
 from test_arith import reference_factorize, shared_prime_sets
 
-from qresidue.arith import factorize, integer_qth_root
+from qresidue.arith import integer_qth_root
 from qresidue.profiles import (
     QInput,
     ResidueProfile,
     TrivialCertificate,
     build_profile,
     hyperplanes_of,
-    rad_q,
 )
 
 
@@ -26,25 +25,6 @@ def test_qinput_validation():
         QInput(3, (2, 0))
 
 
-def test_rad_q_reference_values():
-    assert rad_q(24, 3) == 3
-    assert rad_q(-104, 3) == 13
-    assert rad_q(54, 3) == 2
-    assert rad_q(8, 3) == 1
-
-
-def test_rad_q_properties():
-    rng = random.Random(21)
-    for _ in range(200):
-        q = rng.choice([3, 5])
-        b = rng.randrange(2, 10**6)
-        m = rng.randrange(1, 100)
-        r = rad_q(b, q)
-        assert all(1 <= e <= q - 1 for _, e in factorize(r).factors) or r == 1
-        assert rad_q(b * m**q, q) == r
-        assert rad_q(-b, q) == r
-
-
 def test_build_profile_cube_family():
     profile = build_profile(QInput(3, (2, 3, 6, 12)))
     assert isinstance(profile, ResidueProfile)
@@ -57,6 +37,10 @@ def test_build_profile_trivial():
     cert = build_profile(QInput(3, (-8, 5)))
     assert isinstance(cert, TrivialCertificate)
     assert (cert.index, cert.root) == (0, -2)
+    assert build_profile(QInput(5, (7, 32))) == TrivialCertificate(1, 2)
+    assert build_profile(QInput(3, (1,))) == TrivialCertificate(0, 1)
+    assert build_profile(QInput(3, (-1,))) == TrivialCertificate(0, -1)
+    assert isinstance(build_profile(QInput(3, (12,))), ResidueProfile)
 
 
 def test_build_profile_quintic_family():
@@ -75,6 +59,19 @@ def test_build_profile_dedupes_equal_qfree_parts():
     values = profile.qfree_values
     assert len(values) == len(set(values))
     assert profile.provenance[0] == 2
+    assert build_profile(QInput(3, (24, -104, 54))).qfree_values == (3, 13, 2)
+    # b, b * m^q and -b have one q-free part, so they make a single column
+    rng = random.Random(21)
+    for _ in range(200):
+        q = rng.choice([3, 5])
+        b = rng.randrange(2, 10**6)
+        m = rng.randrange(2, 100)
+        profile = build_profile(QInput(q, (b, b * m**q, -b)))
+        if isinstance(profile, TrivialCertificate):
+            assert profile.index == 0  # b is itself a q-th power
+            continue
+        assert profile.l == 1 and profile.provenance == {0: b}
+        assert all(1 <= e <= q - 1 for (e,) in profile.exponents)
 
 
 def test_hyperplanes_of():
