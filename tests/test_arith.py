@@ -168,3 +168,15 @@ def test_integer_qth_root_random():
         assert integer_qth_root(r**q, q) == r
         if integer_qth_root(r**q + 1, q) is not None:
             assert integer_qth_root(r**q + 1, q) ** q == r**q + 1
+
+
+def test_is_perfect_qth_power():
+    # For odd q, n is a q-th power exactly when |n| is, with the root's sign
+    # that of n; build_profile's trivial certificate rests on this test.
+    def is_perfect_qth_power(n, q):
+        return integer_qth_root(abs(n), q) is not None
+
+    assert is_perfect_qth_power(-8, 3)
+    assert is_perfect_qth_power(32, 5)
+    assert not is_perfect_qth_power(12, 3)
+    assert is_perfect_qth_power(1, 3) and is_perfect_qth_power(-1, 3)

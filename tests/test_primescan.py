@@ -41,17 +41,35 @@ def test_has_qth_power_mod_p():
         has_qth_power_mod_p([2, 3], 3, 3)
     with pytest.raises(ValueError):
         has_qth_power_mod_p([2, 3], 2, 3)
-    # Euler's criterion at split primes, and every unit at the others,
-    # against the q-th powers of F_p* listed one by one
+
+
+def test_qth_root_matches_enumeration():
+    # every unit of F_p, split prime or not, against the q-th powers of
+    # F_p* listed one by one; at p != 1 mod q every unit is a q-th power
     for q in (3, 5):
         for p in primes_up_to(200):
             if p == q:
                 continue
             residues = {pow(x, q, p) for x in range(1, p)}
-            B = range(1, min(p, 30))
+            B = range(1, p)
             rep = has_qth_power_mod_p(B, p, q)
             assert rep.splits == (p % q == 1)
             assert rep.per_element == tuple((b, b in residues) for b in B)
+
+
+def test_residue_symbol_triviality_matches_enumeration():
+    # Euler's criterion b^((p-1)/q) = 1 at split primes: the q-th power
+    # residue symbol of b is trivial exactly when b is a q-th power mod p
+    for q in (3, 5):
+        for p in primes_up_to(500):
+            if p % q != 1:
+                continue
+            residues = {pow(x, q, p) for x in range(1, p)}
+            B = range(1, min(p, 30))
+            rep = has_qth_power_mod_p(B, p, q)
+            assert rep.splits
+            assert rep.per_element == tuple((b, b in residues) for b in B)
+            assert rep.outcome == any(b in residues for b in B)
 
 
 def test_find_counterexample_prime():

@@ -59,7 +59,15 @@ def test_build_profile_dedupes_equal_qfree_parts():
     values = profile.qfree_values
     assert len(values) == len(set(values))
     assert profile.provenance[0] == 2
+
+
+def test_rad_q_reference_values():
+    # rad_q(b): the q-free part of b, read off build_profile's columns
     assert build_profile(QInput(3, (24, -104, 54))).qfree_values == (3, 13, 2)
+    assert build_profile(QInput(3, (8,))) == TrivialCertificate(0, 2)
+
+
+def test_rad_q_properties():
     # b, b * m^q and -b have one q-free part, so they make a single column
     rng = random.Random(21)
     for _ in range(200):
