@@ -33,7 +33,8 @@ class GuardError(ValueError):
     """A work or enumeration guard was exceeded."""
 
 
-def _primes_below(bound):
+def primes_below(bound):
+    """The primes below bound >= 2, by a sieve of Eratosthenes."""
     sieve = bytearray([1]) * bound
     sieve[:2] = b"\x00\x00"
     for i in range(2, math.isqrt(bound - 1) + 1):
@@ -42,7 +43,7 @@ def _primes_below(bound):
     return tuple(compress(range(bound), sieve))
 
 
-_TRIAL_PRIMES = _primes_below(1 << 12)  # 564 primes, 2 to 4093
+_TRIAL_PRIMES = primes_below(1 << 12)  # 564 primes, 2 to 4093
 
 
 @dataclass(frozen=True)
@@ -175,13 +176,17 @@ def factorize(n: int) -> FactoredInteger:
 
 
 def coprime_base(ns) -> list[int]:
-    """Pairwise coprime integers > 1 whose primes are exactly the primes of
-    the positive integers ns, found with gcds alone.
+    """Pairwise coprime integers > 1, found with gcds alone, such that each
+    of the positive integers ns is an exact product of powers of them; so
+    their primes are exactly the primes of ns.
 
     Each x runs along the pieces found so far.  Where g = gcd(x, c) > 1, the
     piece c gives way to the coprime base of {g, c/g}, whose members are
     coprime to every other piece because c was, and x goes on as x/g from
-    the same place; x shrinks at every split, so the loop ends."""
+    the same place; x shrinks at every split, so the loop ends.  Every value
+    seen so far stays a product of pieces: a split replaces c by pieces of
+    which c = g * (c/g) is a product, and x is g, a product of the new
+    pieces, times what it goes on as, and ends either as 1 or as a new piece."""
     base = []
     for x in ns:
         i = 0

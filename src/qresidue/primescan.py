@@ -7,17 +7,31 @@ every element is a residue.  The census compares empirical failure rates
 against the equidistribution prediction U / (q^k (q-1)), where U counts
 vectors of F_q^k missed by every hyperplane of the residue profile; for a
 single support prime this is the classical 1/q.
+
+Primes come from a segmented sieve over odd numbers only.  At a split prime
+the Euler value b^((p-1)/q) mod p is a q-th root of unity, and it is
+multiplicative in b.  So the scan splits B into pairwise coprime pieces with
+gcds alone (no factoring), reads each element's exponent vector over the
+pieces mod q, and runs Euler's criterion only on a subset of B that is
+independent modulo q-th powers; every other element's value is the product
+of its pivots' values.  That is at most r exponentiations per split prime,
+where r is the rank of the exponent matrix, and the verdict at p still comes
+from arithmetic mod p alone, not from the covering engine.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, prod
+from operator import itemgetter
 
+from .arith import coprime_base, integer_qth_root, primes_below
 from .covering import GuardError, uncovered_count
+from .fqlinalg import rref, transpose
 from .profiles import QInput, TrivialCertificate, build_profile, hyperplanes_of
 
-SEGMENT_SIZE = 10**6
+SEGMENT_SIZE = 10**6  # flags per sieve segment, one per odd number
 SCAN_BOUND_LIMIT = 10**7
 _FAILING_LIST_CAP = 25
 
@@ -43,31 +57,33 @@ class DensityReport:
 
 
 def primes_up_to(bound):
-    """Yield all primes <= bound via a segmented sieve of Eratosthenes."""
+    """Yield all primes <= bound, in order, via a segmented sieve of
+    Eratosthenes over the odd numbers: flag i of a segment stands for low + 2i."""
     if bound < 2:
         return
-    root = isqrt(bound)
-    base_sieve = bytearray([1]) * (root + 1)
-    base_sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(root) + 1):
-        if base_sieve[i]:
-            base_sieve[i * i :: i] = bytearray(len(base_sieve[i * i :: i]))
-    base_primes = list(compress(range(root + 1), base_sieve))
-    yield from base_primes
-    low = root + 1
+    yield 2
+    base_primes = primes_below(isqrt(bound) + 1)[1:]
+    low = 3
     while low <= bound:
-        high = min(low + SEGMENT_SIZE - 1, bound)
-        seg = bytearray([1]) * (high - low + 1)
+        size = min(SEGMENT_SIZE, (bound - low) // 2 + 1)
+        high = low + 2 * (size - 1)
+        seg = bytearray([1]) * size
         for p in base_primes:
+            if p * p > high:
+                break
             start = max(p * p, (low + p - 1) // p * p)
-            seg[start - low :: p] = bytearray(len(seg[start - low :: p]))
-        yield from compress(range(low, high + 1), seg)
-        low = high + 1
+            if start % 2 == 0:
+                start += p
+            i = (start - low) // 2
+            seg[i::p] = bytes(len(range(i, size, p)))
+        yield from compress(range(low, high + 1, 2), seg)
+        low = high + 2
 
 
-def _is_qth_power(b, p, q) -> bool:
-    """Euler's criterion for a split prime p that does not divide b."""
-    return pow(b, (p - 1) // q, p) == 1
+def _euler(b, p, q):
+    """Euler's criterion value b^((p-1)/q) mod p at a split prime p that does
+    not divide b: a q-th root of unity mod p, and 1 iff b is a q-th power."""
+    return pow(b, (p - 1) // q, p)
 
 
 def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
@@ -78,7 +94,7 @@ def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
         if b % p == 0:
             raise ValueError(f"p = {p} divides element {b}; excluded prime")
     splits = p % q == 1
-    per_element = tuple((b, not splits or _is_qth_power(b, p, q)) for b in B)
+    per_element = tuple((b, not splits or _euler(b, p, q) == 1) for b in B)
     return PrimeCheckReport(p, splits, per_element, any(r for _, r in per_element))
 
 
@@ -90,18 +106,83 @@ def _check_bound(bound, minimum):
         raise GuardError(f"bound {bound} exceeds scan limit {SCAN_BOUND_LIMIT}")
 
 
+def _exponent_vector(b, pieces, q):
+    """Exponents of |b| mod q over the coprime pieces; a piece that is a q-th
+    power gets 0, so the vector is zero iff b is +-(a q-th power)."""
+    n, vector = abs(b), []
+    for c, is_power in pieces:
+        e = 0
+        while n % c == 0:
+            n //= c
+            e += 1
+        vector.append(0 if is_power else e % q)
+    if n != 1:
+        raise RuntimeError(f"{b} is not a product of its coprime base")
+    return vector
+
+
+def _symbol_plan(B, q):
+    """Euler's criterion on an independent subset of B, the rest by
+    multiplicativity: a list of steps (pivot, ready), or None when some
+    element is +-(a q-th power) and so a residue at every prime.
+
+    Pivots that most other elements depend on come first.  ready holds one
+    getter per element whose pivots are all among the steps so far: applied
+    to the steps' Euler values, it picks each value c times, where c is the
+    element's coefficient on that pivot, so the element's Euler value is the
+    product of the picks.  An element on one pivot only is left out: its
+    value is a power of that pivot's value by a unit mod q, so it is 1 only
+    when the pivot's is.
+    """
+    pieces = [(c, integer_qth_root(c, q) is not None) for c in coprime_base(abs(b) for b in B)]
+    vectors = [_exponent_vector(b, pieces, q) for b in B]
+    if not all(any(v) for v in vectors):
+        return None
+    # column j of the rref writes element j on the pivot elements
+    R, rank, pivots = rref(transpose(vectors), q)
+    dependents = [
+        [(i, R[i][j]) for i in range(rank) if R[i][j]]
+        for j in range(len(B)) if j not in pivots
+    ]
+    dependents = [d for d in dependents if len(d) > 1]
+    uses = Counter(i for d in dependents for i, _ in d)
+    order = sorted(range(rank), key=lambda i: -uses[i])
+    step = {i: n for n, i in enumerate(order)}
+    ready = [[] for _ in order]
+    for d in dependents:
+        picks = [step[i] for i, c in d for _ in range(c)]
+        ready[max(picks)].append(itemgetter(*picks))
+    return [(B[pivots[i]], ready[step[i]]) for i in order]
+
+
+def _fails(plan, p, q):
+    """True iff no element of B is a q-th power residue at the split prime p."""
+    values = []
+    for b, ready in plan:
+        value = _euler(b, p, q)
+        if value == 1:
+            return False
+        values.append(value)
+        for picks in ready:
+            if prod(picks(values)) % p == 1:
+                return False
+    return True
+
+
 def _scan(B, q, bound):
     """Yield (p, fails) for each prime p <= bound.
 
     fails is None for an excluded prime, True for a split prime at which no
     element of B is a q-th power residue, and False otherwise.
     """
+    B = list(B)
+    plan = _symbol_plan(B, q)
     product = prod(B)
     for p in primes_up_to(bound):  # the module global, so it can be replaced
         if p == q or product % p == 0:
             yield p, None
         else:
-            yield p, p % q == 1 and not any(_is_qth_power(b, p, q) for b in B)
+            yield p, plan is not None and p % q == 1 and _fails(plan, p, q)
 
 
 def find_counterexample_prime(B, q, bound) -> int | None:

@@ -141,6 +141,8 @@ def test_coprime_base():
     assert coprime_base([]) == [] and coprime_base([1, 1]) == []
     assert sorted(coprime_base([12, 18])) == [2, 3]
     assert coprime_base([6, 6]) == [6]
+    assert sorted(coprime_base([6, 35, 210])) == [6, 35]
+    assert sorted(coprime_base([12, 6])) == [2, 3]  # 12 is no power of 6
     for primes, elements in shared_prime_sets(47, 60):
         base = coprime_base(abs(b) for b in elements)
         assert all(c > 1 for c in base)
@@ -152,6 +154,12 @@ def test_coprime_base():
                 while c % p == 0:
                     c //= p
             assert c == 1
+        for b in elements:  # each input is an exact product of powers of pieces
+            n = abs(b)
+            for c in base:
+                while n % c == 0:
+                    n //= c
+            assert n == 1, (b, base)
 
 
 def test_integer_qth_root_examples():

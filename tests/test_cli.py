@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from qresidue import cli, criterion
+from qresidue import cli, criterion, primescan
+from qresidue.arith import coprime_base
 from qresidue.cli import main
 
 
@@ -184,6 +185,16 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch, error):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:") and "self-check failed" in err
+
+
+@pytest.mark.parametrize("cmd", ["scan", "census"])
+def test_inexact_coprime_base_is_not_a_verdict(capsys, monkeypatch, cmd):
+    # a base that misses a piece leaves 2 as no product of the pieces
+    monkeypatch.setattr(primescan, "coprime_base", lambda ns: coprime_base(ns)[1:])
+    code, out, err = run(capsys, cmd, "--q", "3", "--set", "2,3,6", "--bound", "1000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and "coprime base" in err
 
 
 def test_synthesize_twist_count_budget(capsys):

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from qresidue import primescan
+from qresidue import covering, primescan, profiles
+from qresidue.arith import FactoredInteger, factorize
 from qresidue.covering import GuardError
 from qresidue.primescan import (
     SCAN_BOUND_LIMIT,
@@ -14,19 +17,26 @@ from qresidue.primescan import (
     predicted_failure_density,
     primes_up_to,
 )
+from qresidue.fqlinalg import rref
+from qresidue.profiles import QInput, TrivialCertificate, build_profile
 
 
-def test_primes_up_to_matches_naive():
-    def naive(n):
-        return [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
-
-    for bound in (1, 2, 3, 10, 100, 541):
-        assert list(primes_up_to(bound)) == naive(bound)
+def test_primes_up_to_matches_naive(monkeypatch):
+    # tiny segments put their edges on odd and even offsets, on base primes
+    # and on their squares
+    primes = [p for p in range(2, 301) if all(p % d for d in range(2, p))]
+    for segment in (primescan.SEGMENT_SIZE, 1, 2, 3, 7):
+        monkeypatch.setattr(primescan, "SEGMENT_SIZE", segment)
+        for bound in range(301):
+            assert list(primes_up_to(bound)) == [p for p in primes if p <= bound]
 
 
 def test_primes_up_to_crosses_segment_boundary():
-    primes = [p for p in primes_up_to(10**6 + 100) if p > 10**6]
-    assert primes == [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
+    # a segment of SEGMENT_SIZE flags spans 2 * SEGMENT_SIZE odd numbers
+    edge = 3 + 2 * primescan.SEGMENT_SIZE
+    primes = [p for p in primes_up_to(edge + 100) if p > edge - 100]
+    naive = [p for p in range(edge - 99, edge + 101) if all(p % d for d in range(2, isqrt(p) + 1))]
+    assert primes == naive
 
 
 def test_has_qth_power_mod_p():
@@ -171,6 +181,23 @@ def _reference_scan(B, q, bound):
     return fields, (failing[0] if failing else None)
 
 
+def _pencil(q, a, b):
+    """a and a^i b for 0 <= i < q: over the primes (a, b) their exponent
+    vectors are one normal of each of the q + 1 lines of F_q^2."""
+    return [a] + [a**i * b for i in range(q)]
+
+
+# A 39-digit semiprime: factorize would run out of its rho budget on it.
+_P1, _P2 = 10**19 + 51, 3 * 10**19 + 41
+_SEMIPRIME = _P1 * _P2
+
+
+def _factorize_knowing_the_semiprime(n):
+    if n == _SEMIPRIME:
+        return FactoredInteger(1, ((_P1, 1), (_P2, 1)))
+    return factorize(n)
+
+
 def _scan_cases():
     rng = random.Random(2023)
     small = [2, 3, 5, 7, 11, 13]
@@ -186,12 +213,78 @@ def _scan_cases():
                 B.append(b)
             yield q, [b if rng.random() < 0.5 else -b for b in B], 30_000
     yield 3, [-2, 3, -6, 324], 30_000  # covers F_3^2: no failing prime
-    yield 3, [-10, 22, 35], 10**6 + 20_000  # two sieve segments
+    yield 3, [-10, 22, 35], 10**6 + 20_000
+    for q, singles in ((3, [5, -7]), (5, [7]), (7, [11, 13])):
+        yield q, singles + _pencil(q, 2, 3), 30_000  # covers: none fails
+        yield q, _pencil(q, 2, 3)[1:] + singles, 30_000  # a line short
+    yield 3, [6, 10, 15, 60], 30_000  # composite pieces that gcds split
+    yield 3, [6, 35, -210, 11], 30_000  # pieces 6 and 35 stay composite
+    yield 5, [6, 7, 6 * 2**5, 36, -7 * 3**10, 42], 30_000  # repeated q-free classes
+    yield 3, [5, -8 * 7**3, 7], 30_000  # a -(q-th power): no prime fails
+    yield 5, [-1, 2, 3], 30_000
+    yield 3, [_SEMIPRIME, 2, 2 * _SEMIPRIME, -4 * _SEMIPRIME, 5], 30_000  # covers
+    yield 3, [_SEMIPRIME, -3 * _SEMIPRIME**2, 7], 30_000
 
 
 @pytest.mark.parametrize("q, B, bound", list(_scan_cases()))
-def test_scan_matches_reference_loops(q, B, bound):
+def test_scan_matches_reference_loops(monkeypatch, q, B, bound):
+    # small segments, so every bound crosses segment edges
+    monkeypatch.setattr(primescan, "SEGMENT_SIZE", 4099)
+    monkeypatch.setattr(profiles, "factorize", _factorize_knowing_the_semiprime)
     fields, first = _reference_scan(B, q, bound)
     expected = DensityReport(**fields, predicted_density=predicted_failure_density(B, q))
     assert census(B, q, bound) == expected
     assert find_counterexample_prime(B, q, bound) == first
+
+
+def _rank(B, q):
+    """Rank over F_q of the exponent matrix of B's residue profile; 0 when B
+    holds a q-th power."""
+    profile = build_profile(QInput(q, B))
+    return 0 if isinstance(profile, TrivialCertificate) else rref(profile.exponents, q)[1]
+
+
+def _count_euler(monkeypatch):
+    """Counter of the Euler exponentiations the scan makes, by prime."""
+    calls = Counter()
+    real = primescan._euler
+
+    def counted(b, p, q):
+        calls[p] += 1
+        return real(b, p, q)
+
+    monkeypatch.setattr(primescan, "_euler", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_pencil_needs_two_euler_tests_per_prime(monkeypatch, q):
+    calls = _count_euler(monkeypatch)
+    B = [7] + _pencil(q, 2, 3)  # the pencil's pivots must go first
+    rep = census(B, q, 30_000)
+    assert rep.failing_count == 0
+    assert len(calls) == rep.split_primes and max(calls.values()) == 2
+    # each element on its own would need up to q + 2 of them
+    assert sum(calls.values()) < 2 * rep.split_primes
+
+
+@pytest.mark.parametrize("q, B, bound", list(_scan_cases()))
+def test_euler_tests_per_prime_at_most_rank(monkeypatch, q, B, bound):
+    monkeypatch.setattr(profiles, "factorize", _factorize_knowing_the_semiprime)
+    r = _rank(B, q)
+    calls = _count_euler(monkeypatch)
+    find_counterexample_prime(B, q, min(bound, 30_000))
+    assert all(p % q == 1 for p in calls)
+    assert max(calls.values(), default=0) <= r
+
+
+def test_scan_needs_no_factoring_or_covering(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the scan left modular arithmetic at p")
+
+    for module, name in ((profiles, "factorize"), (covering, "covers"),
+                         (primescan, "build_profile"), (primescan, "uncovered_count")):
+        monkeypatch.setattr(module, name, fail)
+    for q, B, bound in _scan_cases():
+        bound = min(bound, 30_000)
+        assert find_counterexample_prime(B, q, bound) == _reference_scan(B, q, bound)[1]
