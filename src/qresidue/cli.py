@@ -132,11 +132,10 @@ def cmd_certificate(args):
 
 
 def cmd_scan(args):
-    qinput = QInput(args.q, tuple(args.set))  # validates inputs
-    p = primescan.find_counterexample_prime(qinput.elements, args.q, args.bound)
+    p = primescan.find_counterexample_prime(args.set, args.q, args.bound)
     if p is None:
         return 0, {"counterexample_prime": None, "bound": args.bound}
-    report = primescan.has_qth_power_mod_p(qinput.elements, p, args.q)
+    report = primescan.has_qth_power_mod_p(args.set, p, args.q)
     return 1, {
         "counterexample_prime": p,
         "splits": report.splits,
@@ -145,8 +144,7 @@ def cmd_scan(args):
 
 
 def cmd_census(args):
-    qinput = QInput(args.q, tuple(args.set))
-    rep = primescan.census(qinput.elements, args.q, args.bound)
+    rep = primescan.census(args.set, args.q, args.bound)
     return 0, {
         "bound": rep.bound,
         "primes_checked": rep.primes_checked,

@@ -166,6 +166,12 @@ def profile_from_columns(q, columns) -> ResidueProfile:
     return ResidueProfile(q, primes, exponents, provenance, tuple(qfree))
 
 
+def _check_sizes(k_max, l_max):
+    """Both sweeps need k_max, l_max >= 1; the message names oracle-check's flag."""
+    if min(k_max, l_max) < 1:
+        raise ValueError(f"--{'k' if k_max < 1 else 'l'}-max must be >= 1")
+
+
 def _compare_routes(q, instances):
     """(instances checked, column tuples on which covering and oracle disagree)."""
     checked = 0
@@ -186,8 +192,7 @@ def oracle_check_exhaustive(q, k_max, l_max):
     GuardError if the instance count sum (q^k-1)^l or the Skalba check count
     sum (q^k-1)^l (q-1)^l over the sweep exceeds its limit.
     """
-    if k_max < 1 or l_max < 1:
-        return 0, []
+    _check_sizes(k_max, l_max)
     matrices = checks = 0
     for k in range(1, k_max + 1):
         for l in range(1, l_max + 1):  # both sums only grow: stop at the first excess
@@ -215,6 +220,7 @@ def oracle_check_random(q, k_max, l_max, trials, seed):
     Raises GuardError if trials (q-1)^l_max, a bound on the Skalba checks,
     exceeds ORACLE_ENUMERATION_LIMIT.
     """
+    _check_sizes(k_max, l_max)
     # (q-1)^24 >= 2^24 > ORACLE_ENUMERATION_LIMIT, so the cap keeps the power
     # small without changing the outcome
     if trials * (q - 1) ** min(l_max, 24) > ORACLE_ENUMERATION_LIMIT:

@@ -6,17 +6,18 @@ carry information: otherwise the q-th power map is a bijection on F_p* and
 every element is a residue.  The census compares empirical failure rates
 against the equidistribution prediction U / (q^k (q-1)), where U counts
 vectors of F_q^k missed by every hyperplane of the residue profile; for a
-single support prime this is the classical 1/q.
+single support prime this is the classical 1/q.  Neither the scan nor the
+prediction factors: both read the exponent vectors of B over the gcd coprime
+pieces of |B| (profiles.piece_exponents).  U / q^k depends only on the row
+space, which the pieces span as the support primes do.
 
 Primes come from a segmented sieve over odd numbers only.  At a split prime
 the Euler value b^((p-1)/q) mod p is a q-th root of unity, and it is
-multiplicative in b.  So the scan splits B into pairwise coprime pieces with
-gcds alone (no factoring), reads each element's exponent vector over the
-pieces mod q, and runs Euler's criterion only on a subset of B that is
-independent modulo q-th powers; every other element's value is the product
-of its pivots' values.  That is at most r exponentiations per split prime,
-where r is the rank of the exponent matrix, and the verdict at p still comes
-from arithmetic mod p alone, not from the covering engine.
+multiplicative in b.  So the scan runs Euler's criterion only on a subset of
+B that is independent modulo q-th powers; every other element's value is the
+product of its pivots' values.  That is at most r exponentiations per split
+prime, where r is the rank of the exponent matrix, and the verdict at p
+still comes from arithmetic mod p alone, not from the covering engine.
 """
 
 from collections import Counter
@@ -26,10 +27,10 @@ from itertools import compress
 from math import isqrt, prod
 from operator import itemgetter
 
-from .arith import coprime_base, integer_qth_root, primes_below
-from .covering import GuardError, uncovered_count
+from .arith import primes_below
+from .covering import GuardError, Hyperplane, uncovered_count
 from .fqlinalg import rref, transpose
-from .profiles import QInput, TrivialCertificate, build_profile, hyperplanes_of
+from .profiles import QInput, piece_exponents
 
 SEGMENT_SIZE = 10**6  # flags per sieve segment, one per odd number
 SCAN_BOUND_LIMIT = 10**7
@@ -106,22 +107,13 @@ def _check_bound(bound, minimum):
         raise GuardError(f"bound {bound} exceeds scan limit {SCAN_BOUND_LIMIT}")
 
 
-def _exponent_vector(b, pieces, q):
-    """Exponents of |b| mod q over the coprime pieces; a piece that is a q-th
-    power gets 0, so the vector is zero iff b is +-(a q-th power)."""
-    n, vector = abs(b), []
-    for c, is_power in pieces:
-        e = 0
-        while n % c == 0:
-            n //= c
-            e += 1
-        vector.append(0 if is_power else e % q)
-    if n != 1:
-        raise RuntimeError(f"{b} is not a product of its coprime base")
-    return vector
+def _split(B, q):
+    """Validated B as a tuple, and its vectors from profiles.piece_exponents."""
+    qinput = QInput(q, tuple(B))
+    return qinput.elements, piece_exponents(qinput)[1]
 
 
-def _symbol_plan(B, q):
+def _symbol_plan(B, vectors, q):
     """Euler's criterion on an independent subset of B, the rest by
     multiplicativity: a list of steps (pivot, ready), or None when some
     element is +-(a q-th power) and so a residue at every prime.
@@ -134,8 +126,6 @@ def _symbol_plan(B, q):
     value is a power of that pivot's value by a unit mod q, so it is 1 only
     when the pivot's is.
     """
-    pieces = [(c, integer_qth_root(c, q) is not None) for c in coprime_base(abs(b) for b in B)]
-    vectors = [_exponent_vector(b, pieces, q) for b in B]
     if not all(any(v) for v in vectors):
         return None
     # column j of the rref writes element j on the pivot elements
@@ -169,14 +159,13 @@ def _fails(plan, p, q):
     return True
 
 
-def _scan(B, q, bound):
+def _scan(B, vectors, q, bound):
     """Yield (p, fails) for each prime p <= bound.
 
     fails is None for an excluded prime, True for a split prime at which no
     element of B is a q-th power residue, and False otherwise.
     """
-    B = list(B)
-    plan = _symbol_plan(B, q)
+    plan = _symbol_plan(B, vectors, q)
     product = prod(B)
     for p in primes_up_to(bound):  # the module global, so it can be replaced
         if p == q or product % p == 0:
@@ -188,26 +177,33 @@ def _scan(B, q, bound):
 def find_counterexample_prime(B, q, bound) -> int | None:
     """First prime <= bound (outside the excluded set) where no element is a residue."""
     _check_bound(bound, 2)
-    return next((p for p, fails in _scan(B, q, bound) if fails), None)
+    B, vectors = _split(B, q)
+    return next((p for p, fails in _scan(B, vectors, q, bound) if fails), None)
+
+
+def _density(vectors, q):
+    """U / (q^k (q-1)) over the piece vectors, 0 if one of them is zero."""
+    if not all(any(v) for v in vectors):
+        return Fraction(0)
+    k = len(vectors[0])
+    U = uncovered_count([Hyperplane(v, q) for v in set(vectors)], k, q)
+    return Fraction(U, q**k * (q - 1))
 
 
 def predicted_failure_density(B, q) -> Fraction:
     """Equidistribution prediction U / (q^k (q-1)); 0 for trivially-yes sets."""
-    profile = build_profile(QInput(q, tuple(B)))
-    if isinstance(profile, TrivialCertificate):
-        return Fraction(0)
-    U = uncovered_count(hyperplanes_of(profile), profile.k, profile.q)
-    return Fraction(U, q**profile.k * (q - 1))
+    return _density(_split(B, q)[1], q)
 
 
 def census(B, q, bound) -> DensityReport:
     """Scan all primes <= bound and tabulate failure density vs the prediction."""
     _check_bound(bound, 100)
+    B, vectors = _split(B, q)
     # first, so that a GuardError comes before the scan, not after it
-    predicted = predicted_failure_density(B, q)
+    predicted = _density(vectors, q)
     checked = excluded = split = 0
     failing = []
-    for p, fails in _scan(B, q, bound):
+    for p, fails in _scan(B, vectors, q, bound):
         if fails is None:
             excluded += 1
             continue

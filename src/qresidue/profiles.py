@@ -1,13 +1,11 @@
 """Canonicalization of (B, q) into a residue profile.
 
-Each input integer is reduced to its q-free part (exponents mod q); perfect
-q-th powers short-circuit into a trivial certificate.  The surviving columns
-form an exponent matrix over F_q whose columns are hyperplane normals.
-
-The set is factored as a whole: arith.coprime_base splits the elements into
-pairwise coprime pieces with gcds, factorize runs once per piece, and each
-element's exponents are read by dividing the primes found out of it.  Primes
-that several elements share are therefore found once.
+piece_exponents reads each element's exponent vector mod q over the gcd
+coprime pieces of |B|; primescan reads the same vectors.  A zero vector marks
++-(a q-th power), which short-circuits into a trivial certificate.  Otherwise
+factorize runs once per piece, and a prime p of the piece c gets the row
+v_p(c) times c's row mod q.  The columns of this exponent matrix over F_q,
+one per q-free part, are hyperplane normals.
 """
 
 from dataclasses import dataclass
@@ -68,48 +66,49 @@ class ResidueProfile:
         return tuple(self.exponents[i][j] for i in range(self.k))
 
 
-def _qfree_part(factors, q):
-    """(q-free part, {prime: exponent mod q}) of (prime, exponent) pairs, with
-    zero exponents dropped."""
-    reduced = {p: e % q for p, e in factors if e % q}
-    return prod(p**e for p, e in reduced.items()), reduced
+def piece_exponents(qinput: QInput):
+    """(pieces, vectors): the pairwise coprime pieces of |B|, found with gcds
+    alone, and each element's exponent vector over them mod q.
 
-
-def _valuations(n, primes):
-    """(p, v_p(n)) for each p in primes that divides n."""
-    for p in primes:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            yield p, e
+    Pieces that are q-th powers, or on which every exponent is 0 mod q, are
+    dropped, so a vector is zero iff its element is +-(a q-th power), and
+    there are at most k pieces.  Raises RuntimeError when an element is not
+    an exact product of powers of the pieces."""
+    pieces = coprime_base(abs(b) for b in qinput.elements)
+    vectors = []
+    for b in qinput.elements:
+        n, vector = abs(b), []
+        for c in pieces:
+            e = 0
+            while n % c == 0:
+                n //= c
+                e += 1
+            vector.append(e % qinput.q)
+        if n != 1:
+            raise RuntimeError(f"{b} is not a product of its coprime base")
+        vectors.append(vector)
+    keep = [i for i, c in enumerate(pieces)
+            if any(v[i] for v in vectors) and integer_qth_root(c, qinput.q) is None]
+    return [pieces[i] for i in keep], [tuple(v[i] for i in keep) for v in vectors]
 
 
 def build_profile(qinput: QInput):
     """ResidueProfile for (B, q), or a TrivialCertificate if B contains r^q."""
     q = qinput.q
-    for idx, b in enumerate(qinput.elements):
-        r = integer_qth_root(abs(b), q)
-        if r is not None:
+    pieces, vectors = piece_exponents(qinput)
+    columns = {}  # vector -> first element with it; equal vectors, equal q-free parts
+    for idx, (b, vector) in enumerate(zip(qinput.elements, vectors)):
+        if not any(vector):
+            r = integer_qth_root(abs(b), q)
             return TrivialCertificate(idx, r if b > 0 else -r)
-    pieces = coprime_base(abs(b) for b in qinput.elements)
-    primes = [p for c in pieces for p, _ in factorize(c).factors]
-    columns = []  # (qfree value, {prime: exponent}, source element)
-    seen = set()
-    for b in qinput.elements:
-        value, factors = _qfree_part(_valuations(abs(b), primes), q)
-        if value in seen:
-            continue
-        seen.add(value)
-        columns.append((value, factors, b))
-    support = sorted({p for _, fac, _ in columns for p in fac})
-    exponents = tuple(
-        tuple(fac.get(p, 0) for _, fac, _ in columns) for p in support
-    )
-    provenance = {j: src for j, (_, _, src) in enumerate(columns)}
-    qfree = tuple(value for value, _, _ in columns)
-    return ResidueProfile(q, tuple(support), exponents, provenance, qfree)
+        columns.setdefault(vector, b)
+    rows = {p: tuple(e * a % q for a in row)  # v_p(c) times the row of c
+            for c, row in zip(pieces, zip(*columns))
+            for p, e in factorize(c).factors if e % q}
+    support = tuple(sorted(rows))
+    exponents = tuple(rows[p] for p in support)
+    qfree = tuple(prod(p**e for p, e in zip(support, col)) for col in zip(*exponents))
+    return ResidueProfile(q, support, exponents, dict(enumerate(columns.values())), qfree)
 
 
 def hyperplanes_of(profile: ResidueProfile) -> list[Hyperplane]:

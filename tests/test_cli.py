@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qresidue import cli, criterion, primescan
+from qresidue import cli, criterion, profiles
 from qresidue.arith import coprime_base
 from qresidue.cli import main
 
@@ -187,11 +187,12 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch, error):
     assert err.startswith("internal error:") and "self-check failed" in err
 
 
-@pytest.mark.parametrize("cmd", ["scan", "census"])
+@pytest.mark.parametrize("cmd", ["scan", "census", "decide", "certificate"])
 def test_inexact_coprime_base_is_not_a_verdict(capsys, monkeypatch, cmd):
     # a base that misses a piece leaves 2 as no product of the pieces
-    monkeypatch.setattr(primescan, "coprime_base", lambda ns: coprime_base(ns)[1:])
-    code, out, err = run(capsys, cmd, "--q", "3", "--set", "2,3,6", "--bound", "1000")
+    monkeypatch.setattr(profiles, "coprime_base", lambda ns: coprime_base(ns)[1:])
+    bound = ("--bound", "1000") if cmd in ("scan", "census") else ()
+    code, out, err = run(capsys, cmd, "--q", "3", "--set", "2,3,6", *bound)
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:") and "coprime base" in err
@@ -221,6 +222,16 @@ def test_oracle_check_instance_budget(capsys):
     assert code == 2 and "exceeds" in err
     code, env, _ = run_json(capsys, *base, "--mode", "random", "--trials", "7")
     assert code == 0 and env["result"]["instances_checked"] == 7
+
+
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
+def test_oracle_check_sizes_below_one_are_usage_errors(capsys, mode):
+    for flag, sizes in (("--k-max", ("0", "2")), ("--l-max", ("2", "-1"))):
+        code, out, err = run(
+            capsys, "oracle-check", "--q", "3", "--k-max", sizes[0], "--l-max", sizes[1],
+            "--mode", mode,
+        )
+        assert code == 2 and out == "" and err.strip() == f"error: {flag} must be >= 1"
 
 
 def test_oracle_check_exhaustive_work_budget(capsys):

@@ -206,9 +206,16 @@ def test_oracle_exhaustive_budget_counts_exact_instances(monkeypatch):
         oracle_check_exhaustive(3, 10**9, 10**9)
 
 
-def test_oracle_exhaustive_empty_shapes():
-    assert oracle_check_exhaustive(3, 10**9, 0) == (0, [])
-    assert oracle_check_exhaustive(3, 0, 10**9) == (0, [])
+@pytest.mark.parametrize("sweep", [
+    oracle_check_exhaustive,
+    lambda q, k_max, l_max: oracle_check_random(q, k_max, l_max, trials=1, seed=0),
+], ids=["exhaustive", "random"])
+def test_oracle_sizes_below_one_are_rejected(sweep):
+    # before any budget loop runs: k_max = 10^9 alone would take 10^9 steps
+    with pytest.raises(ValueError, match="--l-max must be >= 1"):
+        sweep(3, 10**9, 0)
+    with pytest.raises(ValueError, match="--k-max must be >= 1"):
+        sweep(3, 0, 10**9)
 
 
 def test_oracle_random_budget(monkeypatch):

@@ -18,7 +18,7 @@ from qresidue.primescan import (
     primes_up_to,
 )
 from qresidue.fqlinalg import rref
-from qresidue.profiles import QInput, TrivialCertificate, build_profile
+from qresidue.profiles import QInput, TrivialCertificate, build_profile, hyperplanes_of
 
 
 def test_primes_up_to_matches_naive(monkeypatch):
@@ -140,6 +140,17 @@ def test_scan_bound_budget_fires_before_the_scan(monkeypatch):
         find_counterexample_prime([2], 3, 1)
 
 
+def test_scan_rejects_what_qinput_rejects():
+    # a zero element once sent the exact-product check into an endless loop
+    for scan in (find_counterexample_prime, census):
+        with pytest.raises(ValueError, match="nonzero"):
+            scan([0, 2], 3, 100)
+        with pytest.raises(ValueError, match="odd prime"):
+            scan([2, 3], 9, 100)
+    with pytest.raises(ValueError, match="nonzero"):
+        predicted_failure_density([2, 0], 3)
+
+
 # --- reference: the original per-prime loops ------------------------------
 
 
@@ -226,13 +237,22 @@ def _scan_cases():
     yield 3, [_SEMIPRIME, -3 * _SEMIPRIME**2, 7], 30_000
 
 
+def _prime_row_density(B, q):
+    """U / (q^k (q-1)) over the support primes of B's residue profile."""
+    profile = build_profile(QInput(q, B))
+    if isinstance(profile, TrivialCertificate):
+        return Fraction(0)
+    U = covering.uncovered_count(hyperplanes_of(profile), profile.k, q)
+    return Fraction(U, q**profile.k * (q - 1))
+
+
 @pytest.mark.parametrize("q, B, bound", list(_scan_cases()))
 def test_scan_matches_reference_loops(monkeypatch, q, B, bound):
     # small segments, so every bound crosses segment edges
     monkeypatch.setattr(primescan, "SEGMENT_SIZE", 4099)
     monkeypatch.setattr(profiles, "factorize", _factorize_knowing_the_semiprime)
     fields, first = _reference_scan(B, q, bound)
-    expected = DensityReport(**fields, predicted_density=predicted_failure_density(B, q))
+    expected = DensityReport(**fields, predicted_density=_prime_row_density(B, q))
     assert census(B, q, bound) == expected
     assert find_counterexample_prime(B, q, bound) == first
 
@@ -283,8 +303,21 @@ def test_scan_needs_no_factoring_or_covering(monkeypatch):
         raise AssertionError("the scan left modular arithmetic at p")
 
     for module, name in ((profiles, "factorize"), (covering, "covers"),
-                         (primescan, "build_profile"), (primescan, "uncovered_count")):
+                         (profiles, "build_profile"), (primescan, "uncovered_count")):
         monkeypatch.setattr(module, name, fail)
     for q, B, bound in _scan_cases():
         bound = min(bound, 30_000)
         assert find_counterexample_prime(B, q, bound) == _reference_scan(B, q, bound)[1]
+
+
+def test_census_needs_no_factoring(monkeypatch):
+    # the prediction is counted over the coprime pieces S and 2, so an S that
+    # factorize cannot split within its budget still gets a census
+    def fail(n):
+        raise AssertionError("census factored an element")
+
+    monkeypatch.setattr(profiles, "factorize", fail)
+    rep = census([_SEMIPRIME, 2], 3, 1000)
+    assert rep.predicted_density == Fraction(2, 9)
+    fields, _ = _reference_scan([_SEMIPRIME, 2], 3, 1000)
+    assert rep == DensityReport(**fields, predicted_density=Fraction(2, 9))

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from test_arith import reference_factorize, shared_prime_sets
+from test_primescan import _P1, _P2, _SEMIPRIME, _factorize_knowing_the_semiprime
 
+from qresidue import profiles
 from qresidue.arith import integer_qth_root
 from qresidue.profiles import (
     QInput,
@@ -119,6 +121,16 @@ def test_profile_invariants_random():
             assert any(v % p == 0 for v in profile.qfree_values)
 
 
+def _reference_factors(n):
+    """reference_factorize, told the two primes of the 39-digit semiprime."""
+    known = {}
+    for p in (_P1, _P2):
+        while n % p == 0:
+            n //= p
+            known[p] = known.get(p, 0) + 1
+    return list(reference_factorize(n).factors) + list(known.items())
+
+
 def reference_build_profile(qinput):
     """Reference route: each element factored on its own by reference_factorize."""
     q = qinput.q
@@ -128,7 +140,7 @@ def reference_build_profile(qinput):
             return TrivialCertificate(idx, r if b > 0 else -r)
     columns, seen = [], set()
     for b in qinput.elements:
-        fac = {p: e % q for p, e in reference_factorize(abs(b)).factors if e % q}
+        fac = {p: e % q for p, e in _reference_factors(abs(b)) if e % q}
         value = 1
         for p, e in fac.items():
             value *= p**e
@@ -145,8 +157,23 @@ def reference_build_profile(qinput):
     )
 
 
+_FIXED_SETS = {
+    3: [
+        (12**3 * 5, 10),  # the piece 27 is a cube
+        (6, 35, -210, 11),  # the pieces 6 and 35 stay composite
+        (1,), (-1, 2), (2, -1), (-1,),
+        (_SEMIPRIME, 2, 2 * _SEMIPRIME, -4 * _SEMIPRIME, 5),
+        (_SEMIPRIME, -3 * _SEMIPRIME**2, 7),
+    ],
+    5: [(6, 7, 6 * 2**5, 36, -7 * 3**10, 42)],  # repeated q-free classes
+    7: [(2**7 * 3, 3**8, 5, -(3**15) * 5**7)],  # repeated classes, a 7th-power piece
+}
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
-def test_build_profile_matches_per_element_reference(q):
-    for _, elements in shared_prime_sets(50 + q, 5):
+def test_build_profile_matches_per_element_reference(monkeypatch, q):
+    monkeypatch.setattr(profiles, "factorize", _factorize_knowing_the_semiprime)
+    seeded = [elements for _, elements in shared_prime_sets(50 + q, 5)]
+    for elements in seeded + _FIXED_SETS[q]:
         qinput = QInput(q, tuple(elements))
         assert build_profile(qinput) == reference_build_profile(qinput), elements
