@@ -48,16 +48,10 @@ _TRIAL_PRIMES = primes_below(1 << 12)  # 564 primes, 2 to 4093
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """Sign plus sorted (prime, exponent) pairs; reconstructs the integer exactly."""
+    """Sign plus sorted (prime, exponent) pairs: n = sign * prod p^e."""
 
     sign: int
     factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
 
 
 def _mr_witness(n, a):

@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from itertools import islice, product
+from math import prod
 
 from . import criterion, primescan
 from .arith import is_probable_prime
@@ -171,27 +172,22 @@ def cmd_synthesize(args):
         primes = args.primes
         if len(primes) < args.k:
             raise UsageError(f"need at least {args.k} primes")
-        primes = primes[: args.k]
         if len(set(primes)) != len(primes):
             raise UsageError("primes must be distinct")
         for p in primes:
             if not is_probable_prime(p):
                 raise UsageError(f"{p} is not prime")
+        primes = primes[: args.k]
     else:
         primes = list(criterion.first_odd_primes(args.q, args.k))
-    hyperplanes = synthesize_covering(args.k, args.q)
-    B = []
-    for h in hyperplanes:
-        b = 1
-        for p, e in zip(primes, h.normal):
-            b *= p**e
-        B.append(b)
+    normals = synthesize_covering(args.k, args.q)
+    B = [prod(p**e for p, e in zip(primes, n)) for n in normals]
     decision = decide(QInput(args.q, tuple(B)))
     if decision.verdict is not Verdict.YES:
         raise RuntimeError("synthesized set failed its own covering check")
     result = {
         "primes": primes,
-        "normals": [list(h.normal) for h in hyperplanes],
+        "normals": [list(n) for n in normals],
         "set": B,
         "verdict": decision.verdict.value,
     }

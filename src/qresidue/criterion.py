@@ -16,7 +16,7 @@ from math import prod
 
 from . import fqlinalg
 from .arith import integer_qth_root, is_probable_prime
-from .covering import CoveringResult, GuardError, covers
+from .covering import POINT_ENUMERATION_LIMIT, CoveringResult, GuardError, covers
 from .profiles import QInput, ResidueProfile, TrivialCertificate, build_profile, hyperplanes_of
 
 ORACLE_ENUMERATION_LIMIT = 10**7  # Skalba checks, i.e. twist vectors c tried
@@ -218,14 +218,20 @@ def oracle_check_random(q, k_max, l_max, trials, seed):
     """Compare both routes on random nonzero-column matrices.
 
     Raises GuardError if trials (q-1)^l_max, a bound on the Skalba checks,
-    exceeds ORACLE_ENUMERATION_LIMIT.
+    exceeds ORACLE_ENUMERATION_LIMIT, or if q^k_max exceeds the covering
+    engine's POINT_ENUMERATION_LIMIT.
     """
     _check_sizes(k_max, l_max)
-    # (q-1)^24 >= 2^24 > ORACLE_ENUMERATION_LIMIT, so the cap keeps the power
-    # small without changing the outcome
+    # (q-1)^24 >= 2^24 > ORACLE_ENUMERATION_LIMIT and q^17 >= 3^17 >
+    # POINT_ENUMERATION_LIMIT, so the caps keep the powers small without
+    # changing the outcome
     if trials * (q - 1) ** min(l_max, 24) > ORACLE_ENUMERATION_LIMIT:
         raise GuardError(
             f"{trials} trials x (q-1)^{l_max} exceeds {ORACLE_ENUMERATION_LIMIT} Skalba checks"
+        )
+    if q ** min(k_max, 17) > POINT_ENUMERATION_LIMIT:
+        raise GuardError(
+            f"q^k_max = {q}^{k_max} exceeds enumeration limit {POINT_ENUMERATION_LIMIT}"
         )
     rng = random.Random(seed)
 

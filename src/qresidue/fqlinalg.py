@@ -1,7 +1,7 @@
 """Exact linear algebra over the prime field F_q: rref, row space, null space.
 
 Matrices are lists of rows of ints; all arithmetic is reduced mod q after
-every operation.  q is assumed prime and < 2^16.
+every operation.  q is assumed prime.
 """
 
 

@@ -28,7 +28,7 @@ from math import isqrt, prod
 from operator import itemgetter
 
 from .arith import primes_below
-from .covering import GuardError, Hyperplane, uncovered_count
+from .covering import GuardError, uncovered_count
 from .fqlinalg import rref, transpose
 from .profiles import QInput, piece_exponents
 
@@ -42,7 +42,6 @@ class PrimeCheckReport:
     p: int
     splits: bool
     per_element: tuple[tuple[int, bool], ...]
-    outcome: bool
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def _euler(b, p, q):
 
 
 def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
-    """Does some element of B have a q-th root mod p?  Requires p valid."""
+    """Which elements of B have a q-th root mod p?  Requires p valid."""
     if p == q:
         raise ValueError("p = q is excluded")
     for b in B:
@@ -96,7 +95,7 @@ def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
             raise ValueError(f"p = {p} divides element {b}; excluded prime")
     splits = p % q == 1
     per_element = tuple((b, not splits or _euler(b, p, q) == 1) for b in B)
-    return PrimeCheckReport(p, splits, per_element, any(r for _, r in per_element))
+    return PrimeCheckReport(p, splits, per_element)
 
 
 def _check_bound(bound, minimum):
@@ -186,13 +185,8 @@ def _density(vectors, q):
     if not all(any(v) for v in vectors):
         return Fraction(0)
     k = len(vectors[0])
-    U = uncovered_count([Hyperplane(v, q) for v in set(vectors)], k, q)
+    U = uncovered_count(set(vectors), k, q)
     return Fraction(U, q**k * (q - 1))
-
-
-def predicted_failure_density(B, q) -> Fraction:
-    """Equidistribution prediction U / (q^k (q-1)); 0 for trivially-yes sets."""
-    return _density(_split(B, q)[1], q)
 
 
 def census(B, q, bound) -> DensityReport:

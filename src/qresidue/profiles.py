@@ -5,14 +5,14 @@ coprime pieces of |B|; primescan reads the same vectors.  A zero vector marks
 +-(a q-th power), which short-circuits into a trivial certificate.  Otherwise
 factorize runs once per piece, and a prime p of the piece c gets the row
 v_p(c) times c's row mod q.  The columns of this exponent matrix over F_q,
-one per q-free part, are hyperplane normals.
+one per q-free part, are the hyperplane normals that covering reads, as
+plain tuples.
 """
 
 from dataclasses import dataclass
 from math import prod
 
 from .arith import coprime_base, factorize, integer_qth_root, is_probable_prime
-from .covering import Hyperplane
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,6 @@ class ResidueProfile:
     def l(self) -> int:
         return len(self.qfree_values)
 
-    def column(self, j) -> tuple[int, ...]:
-        return tuple(self.exponents[i][j] for i in range(self.k))
-
 
 def piece_exponents(qinput: QInput):
     """(pieces, vectors): the pairwise coprime pieces of |B|, found with gcds
@@ -111,6 +108,6 @@ def build_profile(qinput: QInput):
     return ResidueProfile(q, support, exponents, dict(enumerate(columns.values())), qfree)
 
 
-def hyperplanes_of(profile: ResidueProfile) -> list[Hyperplane]:
-    """One hyperplane per column normal, the first of any duplicates kept."""
-    return [Hyperplane(n, profile.q) for n in dict.fromkeys(zip(*profile.exponents))]
+def hyperplanes_of(profile: ResidueProfile) -> list[tuple[int, ...]]:
+    """The column normals, duplicates dropped, in first-occurrence order."""
+    return list(dict.fromkeys(zip(*profile.exponents)))

@@ -8,10 +8,11 @@ import json
 import random
 import time
 from itertools import combinations
+from math import prod
 
 from qresidue.arith import factorize, integer_qth_root
 from qresidue.cli import main
-from qresidue.covering import covers, minimal_cover, synthesize_covering
+from qresidue.covering import covers, synthesize_covering, uncovered_count
 from qresidue.criterion import (
     Verdict,
     decide,
@@ -159,12 +160,7 @@ def test_criterion_09_no_false_failures_for_yes_instances():
     for q in (3, 5):
         for k in (2, 3):
             primes = [p for p in (3, 7, 11, 13) if p != q][:k]
-            B = []
-            for h in synthesize_covering(k, q):
-                b = 1
-                for p, e in zip(primes, h.normal):
-                    b *= p**e
-                B.append(b)
+            B = [prod(p**e for p, e in zip(primes, n)) for n in synthesize_covering(k, q)]
             assert decide(QInput(q, tuple(B))).verdict is Verdict.YES
             assert find_counterexample_prime(B, q, 10**5) is None
     elapsed = time.perf_counter() - start
@@ -174,9 +170,9 @@ def test_criterion_09_no_false_failures_for_yes_instances():
 
 def test_criterion_10_covering_number_bound():
     for q in (3, 5):
-        hs = synthesize_covering(2, q)
-        cover = minimal_cover(hs, 2, q)
-        assert len(cover) == q + 1 == len(hs)
-        for subset in combinations(range(len(hs)), q):
-            assert not covers([hs[i] for i in subset], 2, q).covered
-    report(10, "minimal covers have exactly q+1 planes; all q-subsets fail")
+        normals = synthesize_covering(2, q)
+        assert len(normals) == q + 1 and covers(normals, 2, q).covered
+        # uncovered_count builds the masks; covers answers q normals without them
+        for subset in combinations(normals, q):
+            assert uncovered_count(subset, 2, q) > 0
+    report(10, "the pencils cover with q+1 planes; all q-subsets leave points uncovered")

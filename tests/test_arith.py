@@ -116,7 +116,7 @@ def test_factorize_random_roundtrip():
     for _ in range(10_000):
         n = rng.randrange(2, 10**12)
         f = factorize(n)
-        assert f.value() == n
+        assert f.sign * prod(p**e for p, e in f.factors) == n
         assert all(is_probable_prime(p) for p, _ in f.factors)
         assert all(e >= 1 for _, e in f.factors)
         primes = [p for p, _ in f.factors]

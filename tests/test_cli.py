@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qresidue import cli, criterion, profiles
+from qresidue import cli, covering, criterion, profiles
 from qresidue.arith import coprime_base
 from qresidue.cli import main
 
@@ -120,6 +120,23 @@ def test_synthesize(capsys):
         code, env, _ = run_json(capsys, "synthesize", "--q", q, "--k", "3")
         assert code == 0 and env["result"]["primes"] == primes
 
+    # every --primes entry is checked, also those past the first k
+    for primes, message in (("5,7,4,4,-9", "must be distinct"), ("5,7,4,-9", "4 is not prime"),
+                            ("5,7,-9", "-9 is not prime")):
+        code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2", "--primes", primes)
+        assert code == 2 and out == "" and message in err
+
+
+def test_synthesize_mask_work_budget(capsys, monkeypatch):
+    # 1010 masks of 1009^2 bits: refused before any mask is built
+    def unbuilt(normal, q):
+        raise AssertionError("zero mask built")
+
+    monkeypatch.setattr(covering, "zero_mask", unbuilt)
+    code, out, err = run(capsys, "synthesize", "--q", "1009", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: l q^(k+1) = 1010 * 1009^3 exceeds mask work limit 5000000000"
+
 
 def test_synthesize_twists(capsys):
     code, env, _ = run_json(
@@ -222,6 +239,20 @@ def test_oracle_check_instance_budget(capsys):
     assert code == 2 and "exceeds" in err
     code, env, _ = run_json(capsys, *base, "--mode", "random", "--trials", "7")
     assert code == 0 and env["result"]["instances_checked"] == 7
+
+
+def test_oracle_check_random_point_budget(capsys, monkeypatch):
+    # q^k_max is refused before any instance is drawn, and written as a power
+    def unchecked(q, instances):
+        raise AssertionError("instances checked")
+
+    monkeypatch.setattr(criterion, "_compare_routes", unchecked)
+    code, out, err = run(
+        capsys, "oracle-check", "--q", "3", "--k-max", "1000000000", "--l-max", "1",
+        "--mode", "random", "--trials", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.strip() == "error: q^k_max = 3^1000000000 exceeds enumeration limit 100000000"
 
 
 @pytest.mark.parametrize("mode", ["random", "exhaustive"])

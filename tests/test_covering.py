@@ -3,32 +3,32 @@ from itertools import combinations, product
 
 import pytest
 
+from qresidue import covering
 from qresidue.covering import (
+    MASK_WORK_LIMIT,
     GuardError,
-    Hyperplane,
     covers,
-    minimal_cover,
     synthesize_covering,
     uncovered_count,
     zero_mask,
 )
 from qresidue.fqlinalg import rref
 
-
-def planes(normals, q):
-    return [Hyperplane(n, q) for n in normals]
-
-
 # Reference: plain enumeration of all q^k points, the route the bitmask
 # engine replaces.
 
 
-def reference_covers(hyperplanes, k, q):
+def contains(normal, v, q):
+    """Does the hyperplane normal . x = 0 of F_q^k hold the point v?"""
+    return sum(a * b for a, b in zip(normal, v)) % q == 0
+
+
+def reference_covers(normals, k, q):
     """(covered, first gap or None, assignment or None), point by point."""
     assignment = {}
     zero = (0,) * k
     for v in product(range(q), repeat=k):
-        idx = next((i for i, h in enumerate(hyperplanes) if h.contains(v)), None)
+        idx = next((i for i, n in enumerate(normals) if contains(n, v, q)), None)
         if idx is None:
             return False, v, None
         if v != zero:
@@ -36,11 +36,11 @@ def reference_covers(hyperplanes, k, q):
     return True, None, assignment
 
 
-def reference_uncovered_count(hyperplanes, k, q):
+def reference_uncovered_count(normals, k, q):
     return sum(
         1
         for v in product(range(q), repeat=k)
-        if not any(h.contains(v) for h in hyperplanes)
+        if not any(contains(n, v, q) for n in normals)
     )
 
 
@@ -48,20 +48,19 @@ F32_COVER = [(1, 0), (0, 1), (1, 1), (2, 1)]
 
 
 def test_covers_paper_cubic_family():
-    hs = planes(F32_COVER, 3)
-    result = covers(hs, 2, 3)
+    result = covers(F32_COVER, 2, 3)
     assert result.covered
     # full verification of the assignment: one entry per nonzero point
-    _, _, assignment = reference_covers(hs, 2, 3)
+    _, _, assignment = reference_covers(F32_COVER, 2, 3)
     assert len(result.assignment) == 3**2 - 1
     for idx, (v, expected) in zip(result.assignment, assignment.items(), strict=True):
-        assert idx == expected and hs[idx].contains(v)
+        assert idx == expected and contains(F32_COVER[idx], v, 3)
     with pytest.raises(TypeError):
         result.assignment[0] = 1
 
 
 def test_covers_missing_plane():
-    result = covers(planes([(1, 0), (0, 1), (1, 1)], 3), 2, 3)
+    result = covers([(1, 0), (0, 1), (1, 1)], 2, 3)
     assert not result.covered
     assert result.witness == (1, 1)
 
@@ -74,7 +73,7 @@ def test_covers_empty_family():
 
 def test_covers_paper_quintic_family():
     normals = [(1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 1)]
-    assert covers(planes(normals, 5), 3, 5).covered
+    assert covers(normals, 3, 5).covered
 
 
 def test_covers_witness_verified():
@@ -89,61 +88,86 @@ def test_covers_witness_verified():
                 normals.append(n)
         if not normals:
             continue
-        hs = planes(normals, q)
-        result = covers(hs, k, q)
+        result = covers(normals, k, q)
         if result.covered:
             for v in product(range(q), repeat=k):
-                assert any(h.contains(v) for h in hs)
+                assert any(contains(n, v, q) for n in normals)
         else:
-            assert all(not h.contains(result.witness) for h in hs)
+            assert all(not contains(n, result.witness, q) for n in normals)
 
 
 def test_covers_k1_never_covered():
     for q in (3, 5):
-        result = covers(planes([(1,), (2,)], q), 1, q)
+        result = covers([(1,), (2,)], 1, q)
         assert not result.covered
         assert any(x for x in result.witness)
 
 
+def test_k1_families_skip_the_mask_budget():
+    # at k = 1 every hyperplane is the origin alone, so its mask costs nothing
+    q = 1_000_003  # l q^(k+1) = 2 q^2 is far over MASK_WORK_LIMIT
+    assert covers([(1,), (2,)], 1, q).witness == (1,)
+    assert uncovered_count([(1,)], 1, q) == q - 1
+
+
 def test_covers_mismatch_rejected():
     with pytest.raises(ValueError):
-        covers(planes([(1, 0)], 3) + planes([(1,)], 3), 2, 3)
+        covers([(1, 0), (1,)], 2, 3)
+
+
+@pytest.mark.parametrize("check", [covers, uncovered_count])
+def test_bad_normals_rejected(check):
+    with pytest.raises(ValueError, match="zero mod q"):
+        check([(1, 0), (3, 0)], 2, 3)
+    with pytest.raises(ValueError, match="length"):
+        check([(1, 0), (1, 0, 0)], 2, 3)
+    # the normal is checked before the size of the space
+    with pytest.raises(ValueError, match="zero mod q"):
+        check([(0,) * 20], 20, 3)
 
 
 def test_covers_guard():
-    with pytest.raises(GuardError):
-        covers(planes([(1,) + (0,) * 19], 3), 20, 3)
+    with pytest.raises(GuardError, match=r"3\^20 "):
+        covers([(1,) + (0,) * 19], 20, 3)
+
+
+def test_mask_work_guard(monkeypatch):
+    # a family over the budget must be refused before any mask is built
+    def unbuilt(normal, q):
+        raise AssertionError("zero mask built")
+
+    monkeypatch.setattr(covering, "zero_mask", unbuilt)
+    for q in (503, 1009, 9973):
+        pencil = synthesize_covering(2, q)
+        for check in (covers, uncovered_count):
+            with pytest.raises(GuardError, match="mask work"):
+                check(pencil, 2, q)
+    # 38 * 3^17 = 4.9e9 is within the budget, 39 * 3^17 = 5.04e9 is not
+    normal = (1,) + (0,) * 15
+    assert 38 * 3**17 <= MASK_WORK_LIMIT < 39 * 3**17
+    with pytest.raises(AssertionError, match="zero mask built"):
+        uncovered_count([normal] * 38, 16, 3)
+    with pytest.raises(GuardError, match="mask work"):
+        uncovered_count([normal] * 39, 16, 3)
 
 
 def test_minimal_cover_is_exactly_q_plus_one():
-    hs = planes(F32_COVER, 3)
-    assert sorted(minimal_cover(hs, 2, 3)) == [0, 1, 2, 3]
+    assert covers(F32_COVER, 2, 3).covered
     # no proper sub-family covers
-    for size in range(len(hs)):
-        for subset in combinations(range(len(hs)), size):
-            assert not covers([hs[i] for i in subset], 2, 3).covered
-
-
-def test_minimal_cover_drops_redundant_plane():
-    # (1,2) spans the same subspace as (2,1)
-    hs = planes(F32_COVER + [(1, 2)], 3)
-    cover = minimal_cover(hs, 2, 3)
-    assert len(cover) == 4
-    assert covers([hs[i] for i in cover], 2, 3).covered
-
-
-def test_minimal_cover_non_covering():
-    assert minimal_cover(planes([(1, 0), (0, 1)], 3), 2, 3) is None
+    for size in range(len(F32_COVER)):
+        for subset in combinations(F32_COVER, size):
+            assert not covers(subset, 2, 3).covered
+            assert uncovered_count(subset, 2, 3) > 0
 
 
 def test_synthesize_covering():
-    hs = synthesize_covering(2, 3)
-    assert [h.normal for h in hs] == [(1, 0), (0, 1), (1, 1), (1, 2)]
-    assert covers(hs, 2, 3).covered
+    normals = synthesize_covering(2, 3)
+    assert normals == [(1, 0), (0, 1), (1, 1), (1, 2)]
+    assert covers(normals, 2, 3).covered
 
-    hs = synthesize_covering(3, 3)
-    assert all(h.normal[2] == 0 for h in hs)
-    assert covers(hs, 3, 3).covered
+    normals = synthesize_covering(3, 3)
+    assert all(n[2] == 0 for n in normals)
+    assert covers(normals, 3, 3).covered
 
     assert len(synthesize_covering(2, 5)) == 6
     with pytest.raises(ValueError):
@@ -153,16 +177,18 @@ def test_synthesize_covering():
 def test_synthesized_covers_meet_the_covering_number():
     for q in (3, 5):
         for k in (2, 3):
-            hs = synthesize_covering(k, q)
-            assert len(hs) == q + 1
-            assert covers(hs, k, q).covered
-            assert len(minimal_cover(hs, k, q)) == q + 1
+            normals = synthesize_covering(k, q)
+            assert len(normals) == q + 1
+            assert covers(normals, k, q).covered
+            # uncovered_count builds the masks; covers answers q normals without them
+            for subset in combinations(normals, q):
+                assert uncovered_count(subset, k, q) > 0
 
 
 def test_uncovered_count():
-    assert uncovered_count(planes(F32_COVER, 3), 2, 3) == 0
-    assert uncovered_count(planes([(1, 0), (0, 1), (1, 1)], 3), 2, 3) == 2
-    assert uncovered_count(planes([(1,)], 3), 1, 3) == 2
+    assert uncovered_count(F32_COVER, 2, 3) == 0
+    assert uncovered_count([(1, 0), (0, 1), (1, 1)], 2, 3) == 2
+    assert uncovered_count([(1,)], 1, 3) == 2
 
 
 def test_zero_mask_matches_enumeration():
@@ -173,9 +199,8 @@ def test_zero_mask_matches_enumeration():
         n = tuple(rng.randrange(q) for _ in range(k))
         if not any(n):
             continue
-        h = Hyperplane(n, q)
         expected = sum(
-            1 << j for j, v in enumerate(product(range(q), repeat=k)) if h.contains(v)
+            1 << j for j, v in enumerate(product(range(q), repeat=k)) if contains(n, v, q)
         )
         assert zero_mask(n, q) == expected
 
@@ -190,14 +215,14 @@ def _random_family(q, k, rng):
                 break
         normals = [
             tuple(sum(m[i][j] * n[j] for j in range(k)) % q for i in range(k))
-            for n in (h.normal for h in synthesize_covering(k, q))
+            for n in synthesize_covering(k, q)
         ]
     for _ in range(rng.randint(0, q + 2)):
         n = tuple(rng.randrange(q) for _ in range(k))
         if any(n):
             normals.append(n)
     rng.shuffle(normals)
-    return planes(normals, q)
+    return normals
 
 
 @pytest.mark.parametrize("q,k_max", [(3, 7), (5, 4), (7, 3)])
@@ -206,9 +231,9 @@ def test_bitmask_engine_matches_enumeration(q, k_max):
     seen = set()
     for trial in range(120):
         k = rng.randint(1, k_max)
-        hs = [] if trial < k_max else _random_family(q, k, rng)
-        covered, witness, assignment = reference_covers(hs, k, q)
-        result = covers(hs, k, q)
+        normals = [] if trial < k_max else _random_family(q, k, rng)
+        covered, witness, assignment = reference_covers(normals, k, q)
+        result = covers(normals, k, q)
         assert result.covered == covered
         assert result.witness == witness
         if covered:
@@ -216,7 +241,7 @@ def test_bitmask_engine_matches_enumeration(q, k_max):
             assert list(result.assignment) == list(assignment.values())
         else:
             assert result.assignment is None
-        assert uncovered_count(hs, k, q) == reference_uncovered_count(hs, k, q)
+        assert uncovered_count(normals, k, q) == reference_uncovered_count(normals, k, q)
         seen.add(covered)
     assert seen == {True, False}
 
@@ -236,9 +261,8 @@ def test_at_most_q_hyperplanes_never_cover(q, k):
     ]
     for size in range(q + 1):
         for subset in combinations(projective, size):
-            hs = planes(subset, q)
-            assert not covers(hs, k, q).covered
-            assert uncovered_count(hs, k, q) >= q - 1
+            assert not covers(subset, k, q).covered
+            assert uncovered_count(subset, k, q) >= q - 1
 
 
 def test_uncovered_count_matches_crapo_rota():
@@ -260,4 +284,4 @@ def test_uncovered_count_matches_crapo_rota():
             for size in range(len(normals) + 1)
             for subset in combinations(normals, size)
         )
-        assert uncovered_count(planes(normals, q), k, q) == q ** (k - r) * total
+        assert uncovered_count(normals, k, q) == q ** (k - r) * total

@@ -226,12 +226,16 @@ def test_oracle_random_budget(monkeypatch):
         oracle_check_random(3, 2, 4, trials=ORACLE_ENUMERATION_LIMIT // 16 + 1, seed=0)
     with pytest.raises(GuardError):
         oracle_check_random(7, 2, 10**9, trials=1, seed=0)
+    for q, k_max in ((3, 17), (3, 10**9), (10007, 3)):  # q^k_max > 10^8 points
+        with pytest.raises(GuardError, match=rf"q\^k_max = {q}\^{k_max} "):
+            oracle_check_random(q, k_max, 1, trials=1, seed=0)
 
 
 def test_oracle_budgets_admit_sweeps_at_the_limit(monkeypatch):
     monkeypatch.setattr(criterion, "_compare_routes", lambda q, instances: "admitted")
     trials = ORACLE_ENUMERATION_LIMIT // 16  # exactly 10^7 checks at q = 3, l = 4
     assert oracle_check_random(3, 2, 4, trials=trials, seed=0) == "admitted"
+    assert oracle_check_random(3, 16, 1, trials=1, seed=0) == "admitted"  # 3^16 points
     # 4,094 matrices and 5,592,404 checks; one more column would need 22,369,620
     assert oracle_check_exhaustive(3, 1, 11) == "admitted"
     _no_sweep(monkeypatch)
@@ -244,7 +248,7 @@ def test_synthetic_profiles_keep_every_row():
     columns = [(1,) * 12, (0,) * 11 + (1,)]
     profile = profile_from_columns(3, columns)
     assert profile.k == 12 and 3 not in profile.support_primes
-    assert [profile.column(j) for j in range(2)] == columns
+    assert list(zip(*profile.exponents)) == columns
     checked, disagreements = oracle_check_random(3, 12, 2, trials=20, seed=3)
     assert checked == 20 and disagreements == []
 
@@ -252,7 +256,7 @@ def test_synthetic_profiles_keep_every_row():
 def _route_profiles(q, rng, count):
     """Synthetic profiles: pencil coverings of F_q^2 (for q = 3 with a random
     extra column half the time) and random column sets."""
-    pencil = [h.normal for h in synthesize_covering(2, q)]
+    pencil = synthesize_covering(2, q)
     for _ in range(count):
         if rng.random() < 0.4:
             scales = [rng.randrange(1, q) for _ in pencil]

@@ -14,7 +14,6 @@ from qresidue.primescan import (
     census,
     find_counterexample_prime,
     has_qth_power_mod_p,
-    predicted_failure_density,
     primes_up_to,
 )
 from qresidue.fqlinalg import rref
@@ -41,12 +40,11 @@ def test_primes_up_to_crosses_segment_boundary():
 
 def test_has_qth_power_mod_p():
     rep = has_qth_power_mod_p([2, 3, 6], 13, 3)
-    assert rep.splits and not rep.outcome
+    assert rep.splits and not any(r for _, r in rep.per_element)
     rep = has_qth_power_mod_p([2, 3, 6], 7, 3)
-    assert rep.splits and rep.outcome
+    assert rep.splits and any(r for _, r in rep.per_element)
     rep = has_qth_power_mod_p([2, 3, 6, 12], 5, 3)
-    assert not rep.splits and rep.outcome
-    assert all(r for _, r in rep.per_element)
+    assert not rep.splits and all(r for _, r in rep.per_element)
     with pytest.raises(ValueError):
         has_qth_power_mod_p([2, 3], 3, 3)
     with pytest.raises(ValueError):
@@ -79,7 +77,6 @@ def test_residue_symbol_triviality_matches_enumeration():
             rep = has_qth_power_mod_p(B, p, q)
             assert rep.splits
             assert rep.per_element == tuple((b, b in residues) for b in B)
-            assert rep.outcome == any(b in residues for b in B)
 
 
 def test_find_counterexample_prime():
@@ -89,10 +86,9 @@ def test_find_counterexample_prime():
 
 
 def test_predicted_density():
-    assert predicted_failure_density([2], 3) == Fraction(1, 3)
-    assert predicted_failure_density([2, 3, 6, 12], 3) == 0
-    assert predicted_failure_density([2, 3, 6], 3) == Fraction(1, 9)
-    assert predicted_failure_density([8, 5], 3) == 0  # trivially yes
+    for B, density in (([2], Fraction(1, 3)), ([2, 3, 6, 12], 0), ([2, 3, 6], Fraction(1, 9)),
+                       ([8, 5], 0)):  # the last is trivially yes
+        assert census(B, 3, 100).predicted_density == density
 
 
 def test_census_covered_set_never_fails():
@@ -147,8 +143,6 @@ def test_scan_rejects_what_qinput_rejects():
             scan([0, 2], 3, 100)
         with pytest.raises(ValueError, match="odd prime"):
             scan([2, 3], 9, 100)
-    with pytest.raises(ValueError, match="nonzero"):
-        predicted_failure_density([2, 0], 3)
 
 
 # --- reference: the original per-prime loops ------------------------------

@@ -31,7 +31,7 @@ def test_build_profile_cube_family():
     profile = build_profile(QInput(3, (2, 3, 6, 12)))
     assert isinstance(profile, ResidueProfile)
     assert profile.support_primes == (2, 3)
-    assert [profile.column(j) for j in range(4)] == [(1, 0), (0, 1), (1, 1), (2, 1)]
+    assert list(zip(*profile.exponents)) == [(1, 0), (0, 1), (1, 1), (2, 1)]
     assert profile.qfree_values == (2, 3, 6, 12)
 
 
@@ -86,13 +86,13 @@ def test_rad_q_properties():
 
 def test_hyperplanes_of():
     profile = build_profile(QInput(3, (2, 3, 6, 12)))
-    normals = {h.normal for h in hyperplanes_of(profile)}
-    assert normals == {(1, 0), (0, 1), (1, 1), (2, 1)}
+    assert hyperplanes_of(profile) == [(1, 0), (0, 1), (1, 1), (2, 1)]
     profile = build_profile(QInput(3, (2, 3, 6)))
-    assert {h.normal for h in hyperplanes_of(profile)} == {(1, 0), (0, 1), (1, 1)}
-    profile = build_profile(QInput(3, (2,)))
-    hs = hyperplanes_of(profile)
-    assert len(hs) == 1 and hs[0].normal == (1,)
+    assert hyperplanes_of(profile) == [(1, 0), (0, 1), (1, 1)]
+    assert hyperplanes_of(build_profile(QInput(3, (2,)))) == [(1,)]
+    # duplicate columns keep their first occurrence, in column order
+    profile = ResidueProfile(3, (2, 3), ((1, 0, 1, 0), (1, 1, 1, 1)), {}, (6, 3, 6, 3))
+    assert hyperplanes_of(profile) == [(1, 1), (0, 1)]
 
 
 def test_profile_invariants_random():
@@ -110,8 +110,7 @@ def test_profile_invariants_random():
         if isinstance(profile, TrivialCertificate):
             assert profile.root ** q == qinput.elements[profile.index]
             continue
-        for j in range(profile.l):
-            col = profile.column(j)
+        for j, col in enumerate(zip(*profile.exponents)):
             assert any(col)  # no zero columns
             value = 1
             for p, e in zip(profile.support_primes, col):
