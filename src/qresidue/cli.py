@@ -13,14 +13,16 @@ verdict.
 import argparse
 import json
 import os
+import random
 import sys
 import time
+from functools import cache
 from itertools import islice, product
 from math import prod
 
 from . import criterion, primescan
 from .arith import is_probable_prime
-from .covering import GuardError, synthesize_covering
+from .covering import GuardError, check_family, synthesize_covering
 from .criterion import Verdict, decide
 from .profiles import QInput
 
@@ -33,7 +35,10 @@ class UsageError(ValueError):
 
 
 def _parse_q(value):
-    q = int(value)
+    try:
+        q = int(value)
+    except ValueError as e:
+        raise UsageError(f"--q must be an integer, got {value!r}") from e
     if q == 2:
         raise UsageError("q must be an odd prime; q = 2 is out of scope")
     if q < 3 or q % 2 == 0 or not is_probable_prime(q):
@@ -181,6 +186,9 @@ def cmd_synthesize(args):
     else:
         primes = list(criterion.first_odd_primes(args.q, args.k))
     normals = synthesize_covering(args.k, args.q)
+    # The pencil lives on the first two coordinates, so decide() sees k = 2:
+    # refuse an over-budget q before building q+1 elements p1^a p2^t.
+    check_family([n[:2] for n in normals], 2, args.q)
     B = [prod(p**e for p, e in zip(primes, n)) for n in normals]
     decision = decide(QInput(args.q, tuple(B)))
     if decision.verdict is not Verdict.YES:
@@ -203,9 +211,12 @@ def cmd_synthesize(args):
         ]
         result["twists"] = orbit
     elif args.twists is not None:
-        import random
-
-        count = int(args.twists)
+        try:
+            count = int(args.twists)
+        except ValueError as e:
+            raise UsageError(
+                f"--twists must be 'all' or an integer, got {args.twists!r}"
+            ) from e
         _check_count("--twists", count, TWIST_ORBIT_LIMIT)
         rng = random.Random(args.seed)
         result["twists"] = [
@@ -274,7 +285,11 @@ def _flat(val):
     return str(val)
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parse_args() keeps no
+    state between calls, and building six subparsers costs more than a small
+    op."""
     parser = argparse.ArgumentParser(
         prog="qresidue",
         description="Decide q-th power residues modulo almost every prime "

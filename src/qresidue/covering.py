@@ -126,7 +126,7 @@ class CoveringResult:
         return memoryview(first)[1:].toreadonly()  # entry 0 is the origin
 
 
-def _check_family(normals, k, q):
+def check_family(normals, k, q):
     """Normals of length k, nonzero mod q, within the point and mask budgets."""
     for n in normals:
         if len(n) != k:
@@ -148,13 +148,13 @@ def covers(normals, k, q) -> CoveringResult:
     An empty family covers nothing: even the zero vector has no containing
     subspace, so the witness is then (0, ..., 0).
     """
-    _check_family(normals, k, q)
+    check_family(normals, k, q)
     return CoveringResult(normals, k, q)
 
 
 def uncovered_count(normals, k, q) -> int:
     """Number of vectors of F_q^k lying on none of the hyperplanes."""
-    _check_family(normals, k, q)
+    check_family(normals, k, q)
     return q**k - CoveringResult(normals, k, q).union.bit_count()
 
 

@@ -138,6 +138,25 @@ def test_synthesize_mask_work_budget(capsys, monkeypatch):
     assert err.strip() == "error: l q^(k+1) = 1010 * 1009^3 exceeds mask work limit 5000000000"
 
 
+def test_synthesize_refuses_over_budget_q_before_building_the_set(capsys, monkeypatch):
+    # 9974 elements p1^a p2^t with t up to 9972 would take minutes to profile
+    def unprofiled(qinput):
+        raise AssertionError("set profiled")
+
+    monkeypatch.setattr(profiles, "piece_exponents", unprofiled)
+    code, out, err = run(capsys, "synthesize", "--q", "9973", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: l q^(k+1) = 9974 * 9973^3 exceeds mask work limit 5000000000"
+
+
+def test_synthesize_budget_counts_only_the_pencil_coordinates(capsys):
+    # the padding primes divide no element, so the set is decided at k = 2:
+    # 3^20 points would be over the point budget, 3^2 are not
+    code, env, _ = run_json(capsys, "synthesize", "--q", "3", "--k", "20")
+    assert code == 0 and env["result"]["verdict"] == "yes"
+    assert len(env["result"]["primes"]) == 20
+
+
 def test_synthesize_twists(capsys):
     code, env, _ = run_json(
         capsys, "synthesize", "--q", "3", "--k", "2", "--twists", "all"
@@ -167,6 +186,28 @@ def test_list_usage_errors_name_their_flag(capsys):
     assert code == 2 and out == "" and err.strip() == "error: --primes must be nonempty"
     code, _, err = run(capsys, "decide", "--q", "3", "--set", ",")
     assert code == 2 and err.strip() == "error: element set must be nonempty"
+
+
+def test_integer_usage_errors_name_their_flag(capsys):
+    code, out, err = run(capsys, "decide", "--q", "abc", "--set", "2")
+    assert code == 2 and out == "" and err.strip() == "error: --q must be an integer, got 'abc'"
+    code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2", "--twists", "abc")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: --twists must be 'all' or an integer, got 'abc'"
+
+
+def test_repeated_calls_share_no_state(capsys):
+    # the parser is built once per process; each call still parses afresh
+    assert cli.build_parser() is cli.build_parser()
+    code, env, _ = run_json(capsys, "certificate", "--q", "3", "--set", "2,3,6,12", "--c", "1,2,1,1")
+    assert code == 0 and env["result"]["skalba_certificate"]["c"] == [1, 2, 1, 1]
+    code, env, _ = run_json(capsys, "certificate", "--q", "3", "--set", "2,3,6,12")
+    assert code == 0 and env["result"]["skalba_certificate"]["c"] == [1, 1, 1, 1]
+    assert env["input"] == {"q": 3, "set": [2, 3, 6, 12]}
+    code, out, _ = run(capsys, "decide", "--q", "3", "--set", "2,3,6")
+    assert code == 1 and out.startswith("command: decide\n")
+    code, env, _ = run_json(capsys, "synthesize", "--q", "5", "--k", "2")
+    assert code == 0 and env["input"] == {"q": 5, "k": 2, "seed": 0}
 
 
 def test_closed_pipe_is_not_a_verdict():

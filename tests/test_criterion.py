@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from qresidue import criterion
+from qresidue import criterion, fqlinalg
 from qresidue.covering import GuardError, covers, synthesize_covering
 from qresidue.criterion import (
     ORACLE_ENUMERATION_LIMIT,
@@ -290,3 +290,67 @@ def test_skalba_solve_agrees_with_row_space_route(q):
                 assert sum(cert.f) % q != 0
                 assert cert.product == cert.root**q
     assert seen[True] >= 3 and seen[False] >= 3
+
+
+def _per_twist(profile):
+    return all(
+        skalba_condition_holds(profile, c) for c in product(range(1, profile.q), repeat=profile.l)
+    )
+
+
+@pytest.mark.parametrize("q, k_max, l_max", [(3, 2, 3), (5, 2, 2), (7, 1, 3), (3, 2, 4)])
+def test_skalba_oracle_matches_per_twist_route_exhaustively(q, k_max, l_max):
+    seen = {True: 0, False: 0}
+    for k in range(1, k_max + 1):
+        nonzero = [v for v in product(range(q), repeat=k) if any(v)]
+        for l in range(1, l_max + 1):
+            for cols in product(nonzero, repeat=l):
+                profile = profile_from_columns(q, list(cols))
+                verdict = skalba_oracle(profile)
+                assert verdict == _per_twist(profile), cols
+                seen[verdict] += 1
+    # a covering of F_q^k needs k >= 2 and at least q + 1 columns
+    assert seen[False] > 0 and (seen[True] > 0) == (k_max > 1 and l_max > q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_twist_test_matches_skalba_condition_holds(q):
+    # null spaces of dimension 2 and more: a twist may be orthogonal to one
+    # basis vector of Null(M) and not to another
+    rng = random.Random(71 + q)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        k, l = rng.randint(1, 3), rng.randint(2, 5 if q == 3 else 4 if q == 5 else 3)
+        cols = []
+        while len(cols) < l:
+            col = tuple(rng.randrange(q) for _ in range(k))
+            if any(col):
+                cols.append(col)
+        profile = profile_from_columns(q, cols)
+        holds = criterion._twist_test(profile)
+        for c in product(range(1, q), repeat=l):
+            expected = skalba_condition_holds(profile, c)
+            assert holds(c) == expected, (cols, c)
+            seen[expected] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_skalba_oracle_row_reduces_once_per_profile(monkeypatch):
+    calls = []
+    rref = fqlinalg.rref
+
+    def counted(rows, q):
+        calls.append(q)
+        return rref(rows, q)
+
+    def per_twist(profile, c):
+        raise AssertionError("the oracle fell back to the per-twist route")
+
+    monkeypatch.setattr(fqlinalg, "rref", counted)
+    monkeypatch.setattr(criterion, "skalba_condition_holds", per_twist)
+    profiles = [build_profile(CUBE_YES), build_profile(CUBE_NO), build_profile(QUINTIC_YES)]
+    assert [skalba_oracle(p) for p in profiles] == [True, False, True]
+    assert len(calls) == 3  # QUINTIC_YES alone has 4^6 = 4096 twists
+    calls.clear()
+    checked, disagreements = oracle_check_exhaustive(5, 2, 2)
+    assert disagreements == [] and len(calls) == checked == 620
