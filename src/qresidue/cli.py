@@ -4,10 +4,10 @@ Human-readable text by default; --json emits a single envelope object
 {schema_version, command, input, result, timing_ms} on stdout.  Exit codes:
 0 for success/Yes, 1 for a definitive No (or disagreements), 2 for usage and
 guard errors (a factoring input over the Pollard rho budget among them), 3 for
-an internal error (a failed self-check), 130 when the run is interrupted
-(Ctrl-C), and 141 when the reader closes stdout before the output is written
-(a broken pipe, as 128 + SIGPIPE); the last three are never reported as a
-verdict.
+an internal error (a failed self-check or any other unexpected exception), 130
+when the run is interrupted (Ctrl-C), and 141 when the reader closes stdout
+before the output is written (a broken pipe, as 128 + SIGPIPE); the last three
+are never reported as a verdict.
 """
 
 import argparse
@@ -362,12 +362,12 @@ def main(argv=None) -> int:
     except (UsageError, GuardError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as e:
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except Exception as e:  # a failed self-check or any other crash: never a verdict
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

@@ -2,12 +2,17 @@
 
 decide() settles whether B contains a q-th power modulo almost every prime by
 testing whether the hyperplanes of its residue profile cover F_q^k.  The
-independent oracle enumerates all nonzero twist vectors c and checks that the
-all-ones row never lies in the row space of the twisted exponent matrix
-M(c) = M diag(c); both routes must agree.  Since Null(M diag(c)) =
-diag(c)^-1 Null(M), the oracle row-reduces M once per profile and tests each
-twist with dot products.  Constructive witnesses are available in both
-directions.
+Skalba route reads the exponent matrix M (k rows, l columns) instead: a twist
+c in (F_q^*)^l passes iff the all-ones row is not in the row space of
+M(c) = M diag(c), that is, iff it is not orthogonal to Null(M(c)).  Since
+
+    Null(M diag(c)) = diag(c)^-1 Null(M),
+
+c passes iff some basis vector g of Null(M) has sum_j g_j c_j^-1 != 0 mod q.
+So one null space of M serves every twist: the oracle tests all of them
+against it, and skalba_solve turns the passing g into a certificate.  The
+covering and oracle routes must agree.  Constructive witnesses are available
+in both directions.
 """
 
 import random
@@ -67,77 +72,68 @@ def decide(qinput: QInput) -> Decision:
     return Decision(verdict, profile, covering=result)
 
 
-def twisted_matrix(profile: ResidueProfile, c) -> list[list[int]]:
-    """M(c): entry (i, j) is exponent[i][j] * c_j mod q."""
-    q = profile.q
-    return [
-        [profile.exponents[i][j] * c[j] % q for j in range(profile.l)]
-        for i in range(profile.k)
-    ]
+def twisted_matrix(M, q, c) -> list[list[int]]:
+    """M(c) = M diag(c): entry (i, j) is M[i][j] * c_j mod q."""
+    return [[e * cj % q for e, cj in zip(row, c)] for row in M]
 
 
-def _check_c(profile, c):
-    if len(c) != profile.l:
-        raise ValueError("c must have one entry per profile column")
-    if any(cj % profile.q == 0 for cj in c):
+def _check_c(M, q, c):
+    if len(c) != len(M[0]):
+        raise ValueError("c must have one entry per column of M")
+    if any(cj % q == 0 for cj in c):
         raise ValueError("entries of c must be nonzero mod q")
 
 
-def skalba_condition_holds(profile: ResidueProfile, c) -> bool:
+def skalba_condition_holds(M, q, c) -> bool:
     """True iff the all-ones row is not in the row space of M(c)."""
-    _check_c(profile, c)
-    M = twisted_matrix(profile, c)
-    ones = [1] * profile.l
-    return fqlinalg.row_space_contains(M, ones, profile.q) is None
+    _check_c(M, q, c)
+    return fqlinalg.row_space_contains(twisted_matrix(M, q, c), [1] * len(c), q) is None
 
 
-def _twist_test(profile: ResidueProfile):
-    """skalba_condition_holds(profile, c) for twists c with entries in [1, q-1],
-    from one null space of M.
-
-    The all-ones row lies in the row space of M(c) iff it is orthogonal to
-    Null(M(c)) = diag(c)^-1 Null(M), so c passes iff some basis vector f of
-    Null(M) has sum_j f_j c_j^-1 != 0 mod q.
-    """
-    q = profile.q
-    basis = fqlinalg.null_space_basis(profile.exponents, q)
+def _twist_test(M, q):
+    """For twists c with entries in [1, q-1]: the first basis vector g of
+    Null(M) with sum_j g_j c_j^-1 != 0 mod q, or None if c fails."""
+    basis = fqlinalg.null_space_basis(M, q)
     inverse = [0] + [pow(x, -1, q) for x in range(1, q)]
 
-    def holds(c):
+    def passing(c):
         u = [inverse[cj] for cj in c]
-        return any(sum(map(mul, f, u)) % q for f in basis)
+        return next((g for g in basis if sum(map(mul, g, u)) % q), None)
 
-    return holds
+    return passing
 
 
-def skalba_oracle(profile: ResidueProfile) -> bool:
+def skalba_oracle(M, q) -> bool:
     """Brute force over every c in (F_q \\ {0})^l; independent of the covering route.
 
-    One rref per profile: each twist is a dot-product test against a basis of
+    One rref per matrix: each twist is a dot-product test against a basis of
     Null(M) (see _twist_test), stopping at the first twist that fails.
     """
-    q, l = profile.q, profile.l
+    l = len(M[0])
     if (q - 1) ** l > ORACLE_ENUMERATION_LIMIT:
         raise GuardError(
             f"(q-1)^l = {(q - 1) ** l} exceeds oracle limit {ORACLE_ENUMERATION_LIMIT}"
         )
-    return all(map(_twist_test(profile), product(range(1, q), repeat=l)))
+    return all(map(_twist_test(M, q), product(range(1, q), repeat=l)))
 
 
 def skalba_solve(profile: ResidueProfile, c) -> SkalbaCertificate | None:
     """Constructive certificate for one twist vector c, or None if it fails.
 
-    Picks a basis vector f of Null(M(c)) with nonzero coordinate sum and
-    verifies the integer identity exactly.  The all-ones row lies in the row
-    space of M(c) iff it is orthogonal to Null(M(c)), and the coordinate sum
-    is linear, so c fails iff every basis vector sums to 0 mod q.
+    f = c_m diag(c)^-1 g, for the passing basis vector g of Null(M) (see
+    _twist_test) and m the index of its last nonzero entry, the free column
+    at which g has its rref 1.  That is the first basis vector of Null(M(c))
+    with nonzero coordinate sum that row-reducing M(c) itself would give.
+    The integer identity is verified exactly.
     """
-    _check_c(profile, c)
     q = profile.q
-    basis = fqlinalg.null_space_basis(twisted_matrix(profile, c), q)
-    f = next((v for v in basis if sum(v) % q != 0), None)
-    if f is None:
+    _check_c(profile.exponents, q, c)
+    c = tuple(cj % q for cj in c)
+    g = _twist_test(profile.exponents, q)(c)
+    if g is None:
         return None
+    free = max(j for j, gj in enumerate(g) if gj)
+    f = tuple(c[free] * gj * pow(cj, -1, q) % q for gj, cj in zip(g, c))
     total = prod(b ** (cj * fj % q) for b, cj, fj in zip(profile.qfree_values, c, f))
     root = integer_qth_root(total, q)
     if root is None or root**q != total:
@@ -145,7 +141,7 @@ def skalba_solve(profile: ResidueProfile, c) -> SkalbaCertificate | None:
             f"certificate product {total} is not an exact {q}-th power; "
             "this contradicts the covering criterion"
         )
-    return SkalbaCertificate(tuple(cj % q for cj in c), tuple(f), total, root)
+    return SkalbaCertificate(c, f, total, root)
 
 
 def counterexample_c(profile: ResidueProfile, d) -> tuple[int, ...]:
@@ -155,7 +151,7 @@ def counterexample_c(profile: ResidueProfile, d) -> tuple[int, ...]:
     if 0 in sums:
         raise ValueError("d is annihilated by some column; not an uncovered witness")
     c = tuple(pow(s, -1, q) for s in sums)
-    assert fqlinalg.vec_mat(d, twisted_matrix(profile, c), q) == [1] * profile.l
+    assert fqlinalg.vec_mat(d, twisted_matrix(profile.exponents, q, c), q) == [1] * profile.l
     return c
 
 
@@ -168,31 +164,14 @@ def exponent_twist(qinput: QInput, a) -> QInput:
     return QInput(qinput.q, tuple(b**aj for b, aj in zip(qinput.elements, a)))
 
 
-# --- covering-vs-oracle agreement sweeps -----------------------------------
-
 @cache
 def first_odd_primes(q, k):
-    """The first k odd primes other than q: support primes of synthetic
-    profiles (one per matrix row) and of `synthesize` fixtures."""
+    """The first k odd primes other than q: the support primes of
+    `synthesize` fixtures."""
     return tuple(islice((p for p in count(3, 2) if p != q and is_probable_prime(p)), k))
 
 
-def profile_from_columns(q, columns) -> ResidueProfile:
-    """Synthetic profile with the given nonzero exponent columns over F_q."""
-    k = len(columns[0])
-    primes = first_odd_primes(q, k)
-    exponents = tuple(
-        tuple(col[i] % q for col in columns) for i in range(k)
-    )
-    qfree = []
-    for col in columns:
-        v = 1
-        for p, e in zip(primes, col):
-            v *= p ** (e % q)
-        qfree.append(v)
-    provenance = {j: v for j, v in enumerate(qfree)}
-    return ResidueProfile(q, primes, exponents, provenance, tuple(qfree))
-
+# --- covering-vs-oracle agreement sweeps -----------------------------------
 
 def _check_sizes(k_max, l_max):
     """Both sweeps need k_max, l_max >= 1; the message names oracle-check's flag."""
@@ -204,11 +183,10 @@ def _compare_routes(q, instances):
     """(instances checked, column tuples on which covering and oracle disagree)."""
     checked = 0
     disagreements = []
-    for cols in instances:
-        profile = profile_from_columns(q, list(cols))
-        covering = covers(hyperplanes_of(profile), profile.k, profile.q).covered
+    for cols in instances:  # as in decide, a repeated column adds no hyperplane
+        covering = covers(list(dict.fromkeys(cols)), len(cols[0]), q).covered
         checked += 1
-        if covering != skalba_oracle(profile):
+        if covering != skalba_oracle(list(zip(*cols)), q):
             disagreements.append(cols)
     return checked, disagreements
 

@@ -12,7 +12,7 @@ plain tuples.
 from dataclasses import dataclass
 from math import prod
 
-from .arith import coprime_base, factorize, integer_qth_root, is_probable_prime
+from .arith import coprime_base, factorize, integer_qth_root, is_probable_prime, strip_power
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,7 @@ def piece_exponents(qinput: QInput):
     for b in qinput.elements:
         n, vector = abs(b), []
         for c in pieces:
-            e = 0
-            while n % c == 0:
-                n //= c
-                e += 1
+            e, n = strip_power(n, c)
             vector.append(e % qinput.q)
         if n != 1:
             raise RuntimeError(f"{b} is not a product of its coprime base")

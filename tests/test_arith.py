@@ -10,6 +10,7 @@ from qresidue.arith import (
     factorize,
     integer_qth_root,
     is_probable_prime,
+    strip_power,
 )
 
 
@@ -160,6 +161,21 @@ def test_coprime_base():
                 while n % c == 0:
                     n //= c
             assert n == 1, (b, base)
+
+
+def test_strip_power_matches_the_naive_loop():
+    assert strip_power(1, 2) == (0, 1)
+    assert strip_power(2**10 * 3, 2) == (10, 3)
+    assert strip_power(48, 12) == (1, 4)  # 144 does not divide 48
+    rng = random.Random(53)
+    for _ in range(100):
+        c, m = rng.randrange(2, 100), rng.randrange(1, 10**4)
+        n = c ** rng.randrange(3000) * m
+        e, rest = 0, n
+        while rest % c == 0:
+            rest //= c
+            e += 1
+        assert strip_power(n, c) == (e, rest), (c, m)
 
 
 def test_integer_qth_root_examples():

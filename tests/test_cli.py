@@ -233,7 +233,9 @@ def test_text_output_default(capsys):
     assert "uncovered_witness: [1, 1]" in out
 
 
-@pytest.mark.parametrize("error", [RuntimeError, AssertionError])
+@pytest.mark.parametrize(
+    "error", [RuntimeError, AssertionError, KeyError, IndexError, ZeroDivisionError]
+)
 def test_internal_error_is_not_a_verdict(capsys, monkeypatch, error):
     def broken(profile, c):
         raise error("self-check failed")
@@ -332,3 +334,40 @@ def test_keyboard_interrupt_is_not_a_verdict(capsys, monkeypatch):
     code, out, err = run(capsys, "--json", "decide", "--q", "3", "--set", "2,3,6")
     assert code == 130
     assert out == "" and err.strip() == "interrupted"
+
+
+# Every `qresidue` line of the README's CLI block: its exit code, a fact its
+# comment states, and the check of that fact on the JSON result.
+README_EXAMPLES = {
+    "decide --q 3 --set 2,3,6,12": (0, "Yes", lambda r: r["verdict"] == "yes"),
+    "decide --q 3 --set 2,3,6": (1, "witness (1,1)", lambda r: r["uncovered_witness"] == [1, 1]),
+    "certificate --q 3 --set 2,3,6,12": (
+        0, "= 216 = 6^3", lambda r: r["skalba_certificate"]["identity"].endswith("= 216 = 6^3")
+    ),
+    "certificate --q 3 --set 2,3,6": (
+        1, "c = (1,1,2)", lambda r: r["failing_twist"]["c"] == [1, 1, 2]
+    ),
+    "scan --q 3 --set 2,3,6 --bound 100": (1, "13", lambda r: r["counterexample_prime"] == 13),
+    "census --q 3 --set 2 --bound 200000": (0, "1/3", lambda r: r["predicted_density"]["fraction"] == "1/3"),
+    "synthesize --q 5 --k 2": (0, "6 elements", lambda r: len(r["set"]) == 6),
+    "oracle-check --q 3 --k-max 2 --l-max 3 --mode exhaustive": (
+        0, "", lambda r: r["disagreements"] == 0
+    ),
+    "scan --q 3 --set=-2,3,6 --bound 100": (1, "negative", lambda r: r["counterexample_prime"] == 13),
+}
+
+
+def test_readme_cli_examples(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("qresidue ")]
+    examples = {}
+    for line in lines:
+        command, _, comment = line.removeprefix("qresidue ").partition("#")
+        examples[" ".join(command.split())] = comment
+    assert sorted(examples) == sorted(README_EXAMPLES)
+    for command, comment in examples.items():
+        expected_code, fact, check = README_EXAMPLES[command]
+        assert fact in comment, command
+        code, env, err = run_json(capsys, *command.split())
+        assert code == expected_code, (command, err)
+        assert check(env["result"]), command

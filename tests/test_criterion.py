@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -12,9 +13,9 @@ from qresidue.criterion import (
     counterexample_c,
     decide,
     exponent_twist,
+    first_odd_primes,
     oracle_check_exhaustive,
     oracle_check_random,
-    profile_from_columns,
     skalba_condition_holds,
     skalba_oracle,
     skalba_solve,
@@ -45,28 +46,29 @@ def test_decide_k1_is_no():
     assert d.uncovered is not None and any(d.uncovered)
 
 
+def _matrix(qinput):
+    return build_profile(qinput).exponents
+
+
 def test_skalba_condition_holds():
-    profile = build_profile(CUBE_YES)
-    assert skalba_condition_holds(profile, [1, 1, 1, 1])
-    profile_no = build_profile(CUBE_NO)
-    assert not skalba_condition_holds(profile_no, [1, 1, 2])
+    assert skalba_condition_holds(_matrix(CUBE_YES), 3, [1, 1, 1, 1])
+    assert not skalba_condition_holds(_matrix(CUBE_NO), 3, [1, 1, 2])
     # single column (1, 0): the row space of the 2x1 matrix is all of F_3^1
-    profile_k1 = build_profile(QInput(3, (2,)))
-    assert not skalba_condition_holds(profile_k1, [1])
+    assert not skalba_condition_holds(_matrix(QInput(3, (2,))), 3, [1])
 
 
 def test_skalba_condition_rejects_zero_entries():
-    profile = build_profile(CUBE_YES)
+    M = _matrix(CUBE_YES)
     with pytest.raises(ValueError):
-        skalba_condition_holds(profile, [1, 0, 1, 1])
+        skalba_condition_holds(M, 3, [1, 0, 1, 1])
     with pytest.raises(ValueError):
-        skalba_condition_holds(profile, [1, 1])
+        skalba_condition_holds(M, 3, [1, 1])
 
 
 def test_skalba_oracle():
-    assert skalba_oracle(build_profile(CUBE_YES))
-    assert not skalba_oracle(build_profile(CUBE_NO))
-    assert skalba_oracle(build_profile(QUINTIC_YES))
+    assert skalba_oracle(_matrix(CUBE_YES), 3)
+    assert not skalba_oracle(_matrix(CUBE_NO), 3)
+    assert skalba_oracle(_matrix(QUINTIC_YES), 5)
 
 
 def test_skalba_solve_reference_certificate():
@@ -114,9 +116,9 @@ def test_counterexample_c_yields_all_ones():
         profile = decision.profile
         d = decision.uncovered
         c = counterexample_c(profile, d)
-        M = twisted_matrix(profile, c)
+        M = twisted_matrix(profile.exponents, q, c)
         assert vec_mat(list(d), M, q) == [1] * profile.l
-        assert not skalba_condition_holds(profile, c)
+        assert not skalba_condition_holds(profile.exponents, q, c)
 
 
 def test_counterexample_c_rejects_covered_d():
@@ -243,19 +245,39 @@ def test_oracle_budgets_admit_sweeps_at_the_limit(monkeypatch):
         oracle_check_exhaustive(3, 1, 12)
 
 
-def test_synthetic_profiles_keep_every_row():
-    # k = 12 needs more support primes than the first ten primes hold
-    columns = [(1,) * 12, (0,) * 11 + (1,)]
-    profile = profile_from_columns(3, columns)
-    assert profile.k == 12 and 3 not in profile.support_primes
-    assert list(zip(*profile.exponents)) == columns
+def test_oracle_sweeps_keep_every_row(monkeypatch):
+    # the oracle reads the matrix of the columns a sweep drew, every row of
+    # it, also at k = 12
+    columns = ((1,) * 12, (0,) * 11 + (1,))
+    matrices = []
+    oracle = criterion.skalba_oracle
+    monkeypatch.setattr(criterion, "skalba_oracle", lambda M, q: matrices.append(M) or oracle(M, q))
+    assert criterion._compare_routes(3, [columns]) == (1, [])
+    assert list(zip(*matrices[0])) == list(columns)
     checked, disagreements = oracle_check_random(3, 12, 2, trials=20, seed=3)
     assert checked == 20 and disagreements == []
 
 
+def _profile(q, columns):
+    """The residue profile of the set whose j-th element is prod_i p_i^col_j[i]
+    over the first odd primes p_i other than q."""
+    primes = first_odd_primes(q, len(columns[0]))
+    elements = tuple(prod(p**e for p, e in zip(primes, col)) for col in columns)
+    return build_profile(QInput(q, elements))
+
+
+def _random_columns(q, rng, k, l):
+    cols = []
+    while len(cols) < l:
+        col = tuple(rng.randrange(q) for _ in range(k))
+        if any(col):
+            cols.append(col)
+    return cols
+
+
 def _route_profiles(q, rng, count):
-    """Synthetic profiles: pencil coverings of F_q^2 (for q = 3 with a random
-    extra column half the time) and random column sets."""
+    """Profiles of pencil coverings of F_q^2 (for q = 3 with a random extra
+    column half the time) and of random column sets."""
     pencil = synthesize_covering(2, q)
     for _ in range(count):
         if rng.random() < 0.4:
@@ -266,12 +288,8 @@ def _route_profiles(q, rng, count):
             rng.shuffle(cols)
         else:
             k, l = rng.randint(1, 3), rng.randint(1, 6 if q == 3 else 4)
-            cols = []
-            while len(cols) < l:
-                col = tuple(rng.randrange(q) for _ in range(k))
-                if any(col):
-                    cols.append(col)
-        yield profile_from_columns(q, cols)
+            cols = _random_columns(q, rng, k, l)
+        yield _profile(q, cols)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -283,7 +301,7 @@ def test_skalba_solve_agrees_with_row_space_route(q):
         seen[covered] += 1
         for c in product(range(1, q), repeat=profile.l):
             cert = skalba_solve(profile, c)
-            assert (cert is None) == (not skalba_condition_holds(profile, c))
+            assert (cert is None) == (not skalba_condition_holds(profile.exponents, q, c))
             if covered:
                 assert cert is not None
             if cert is not None:
@@ -292,10 +310,40 @@ def test_skalba_solve_agrees_with_row_space_route(q):
     assert seen[True] >= 3 and seen[False] >= 3
 
 
-def _per_twist(profile):
-    return all(
-        skalba_condition_holds(profile, c) for c in product(range(1, profile.q), repeat=profile.l)
-    )
+def _rref_route_f(M, q, c):
+    """f as row-reducing M(c) itself gives it: the first basis vector of
+    Null(M(c)) with nonzero coordinate sum, or None."""
+    basis = fqlinalg.null_space_basis(twisted_matrix(M, q, c), q)
+    return next((tuple(v) for v in basis if sum(v) % q), None)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_skalba_solve_certificates_match_the_twisted_rref(q):
+    # every twist in [1, q-1]^l, and twists whose entries all lie in
+    # [-2q, 2q] outside [1, q-1]
+    rng = random.Random(83 + q)
+    outside = [x for x in range(-2 * q, 2 * q + 1) if x % q and not 0 < x < q]
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        k, l = rng.randint(1, 3), rng.randint(1, {3: 5, 5: 4, 7: 3}[q])
+        profile = _profile(q, _random_columns(q, rng, k, l))
+        M = profile.exponents
+        far = [tuple(rng.choice(outside) for _ in range(profile.l)) for _ in range(20)]
+        for c in [*product(range(1, q), repeat=profile.l), *far]:
+            f = _rref_route_f(M, q, c)
+            cert = skalba_solve(profile, c)
+            seen[f is not None] += 1
+            if f is None:
+                assert cert is None
+                continue
+            assert (cert.c, cert.f) == (tuple(cj % q for cj in c), f)
+            total = prod(b ** (cj * fj % q) for b, cj, fj in zip(profile.qfree_values, c, f))
+            assert cert.product == total == cert.root**q
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def _per_twist(M, q):
+    return all(skalba_condition_holds(M, q, c) for c in product(range(1, q), repeat=len(M[0])))
 
 
 @pytest.mark.parametrize("q, k_max, l_max", [(3, 2, 3), (5, 2, 2), (7, 1, 3), (3, 2, 4)])
@@ -305,9 +353,9 @@ def test_skalba_oracle_matches_per_twist_route_exhaustively(q, k_max, l_max):
         nonzero = [v for v in product(range(q), repeat=k) if any(v)]
         for l in range(1, l_max + 1):
             for cols in product(nonzero, repeat=l):
-                profile = profile_from_columns(q, list(cols))
-                verdict = skalba_oracle(profile)
-                assert verdict == _per_twist(profile), cols
+                M = list(zip(*cols))
+                verdict = skalba_oracle(M, q)
+                assert verdict == _per_twist(M, q), cols
                 seen[verdict] += 1
     # a covering of F_q^k needs k >= 2 and at least q + 1 columns
     assert seen[False] > 0 and (seen[True] > 0) == (k_max > 1 and l_max > q)
@@ -321,16 +369,16 @@ def test_twist_test_matches_skalba_condition_holds(q):
     seen = {True: 0, False: 0}
     for _ in range(40):
         k, l = rng.randint(1, 3), rng.randint(2, 5 if q == 3 else 4 if q == 5 else 3)
-        cols = []
-        while len(cols) < l:
-            col = tuple(rng.randrange(q) for _ in range(k))
-            if any(col):
-                cols.append(col)
-        profile = profile_from_columns(q, cols)
-        holds = criterion._twist_test(profile)
+        cols = _random_columns(q, rng, k, l)
+        M = list(zip(*cols))
+        passing = criterion._twist_test(M, q)
         for c in product(range(1, q), repeat=l):
-            expected = skalba_condition_holds(profile, c)
-            assert holds(c) == expected, (cols, c)
+            expected = skalba_condition_holds(M, q, c)
+            g = passing(c)
+            assert (g is not None) == expected, (cols, c)
+            if g is not None:
+                assert fqlinalg.mat_vec(M, g, q) == [0] * k
+                assert sum(gj * pow(cj, -1, q) for gj, cj in zip(g, c)) % q
             seen[expected] += 1
     assert seen[True] > 0 and seen[False] > 0
 
@@ -340,17 +388,23 @@ def test_skalba_oracle_row_reduces_once_per_profile(monkeypatch):
     rref = fqlinalg.rref
 
     def counted(rows, q):
-        calls.append(q)
+        calls.append(rows)
         return rref(rows, q)
 
-    def per_twist(profile, c):
-        raise AssertionError("the oracle fell back to the per-twist route")
+    def per_twist(*args):
+        raise AssertionError("the Skalba route built or tested a twisted matrix")
 
     monkeypatch.setattr(fqlinalg, "rref", counted)
     monkeypatch.setattr(criterion, "skalba_condition_holds", per_twist)
-    profiles = [build_profile(CUBE_YES), build_profile(CUBE_NO), build_profile(QUINTIC_YES)]
-    assert [skalba_oracle(p) for p in profiles] == [True, False, True]
+    monkeypatch.setattr(criterion, "twisted_matrix", per_twist)
+    cases = [(_matrix(CUBE_YES), 3), (_matrix(CUBE_NO), 3), (_matrix(QUINTIC_YES), 5)]
+    assert [skalba_oracle(M, q) for M, q in cases] == [True, False, True]
     assert len(calls) == 3  # QUINTIC_YES alone has 4^6 = 4096 twists
+    calls.clear()
+    # the certificate reads the same null space: one rref, of M itself
+    profile = build_profile(QUINTIC_YES)
+    assert skalba_solve(profile, [1, 2, 3, 4, 6, -1]) is not None
+    assert calls == [profile.exponents]
     calls.clear()
     checked, disagreements = oracle_check_exhaustive(5, 2, 2)
     assert disagreements == [] and len(calls) == checked == 620

@@ -176,3 +176,13 @@ def test_build_profile_matches_per_element_reference(monkeypatch, q):
     for elements in seeded + _FIXED_SETS[q]:
         qinput = QInput(q, tuple(elements))
         assert build_profile(qinput) == reference_build_profile(qinput), elements
+
+
+def test_piece_exponents_on_a_pencil_of_high_powers():
+    # the q + 1 pencil elements 3, 5 and 3 * 5^t for t < q: each valuation is
+    # found in logarithmically many divisions, not t
+    q = 2003
+    elements = (3, 5) + tuple(3 * 5**t for t in range(1, q))
+    pieces, vectors = profiles.piece_exponents(QInput(q, elements))
+    assert pieces == [3, 5]
+    assert vectors == [(1, 0), (0, 1)] + [(1, t) for t in range(1, q)]
