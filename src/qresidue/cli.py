@@ -17,17 +17,26 @@ import random
 import sys
 import time
 from functools import cache
-from itertools import islice, product
+from itertools import product
 from math import prod
 
 from . import criterion, primescan
 from .arith import is_probable_prime
-from .covering import GuardError, check_family, synthesize_covering
+from .covering import CoveringResult, GuardError, check_family, synthesize_covering
 from .criterion import Verdict, decide
 from .profiles import QInput
 
 SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
+# Bound on the bytes of text of a Yes assignment, checked before it is
+# rendered (see _assignment_bytes).  It admits q = 3, k = 13: on a 2-vCPU VM
+# with Python 3.11, --json decide on a pencil and 2 padding elements there
+# (bound 5.3e7 bytes, 5.1e7 written) takes 0.43-0.48 s and peaks at 147 MB
+# RSS.
+ASSIGNMENT_TEXT_LIMIT = 6 * 10**7
+# Bound on synthesize --k: the fixture prints k primes and q+1 normals of
+# length k, and the first 10^3 odd primes take about 20 ms to find.
+SYNTHESIZE_K_LIMIT = 10**3
 
 
 class UsageError(ValueError):
@@ -58,13 +67,36 @@ def _parse_set(text, name, entries):
     return elems
 
 
-def _assignment_digest(covering):
-    # The assignment lists the nonzero points in lexicographic order, which is
-    # the order product() yields their keys in.
-    digits = [str(x) for x in range(covering.q)]
-    keys = islice(map(",".join, product(digits, repeat=covering.k)), 1, None)
-    assignment = covering.assignment
-    return {"points_assigned": len(assignment), "assignment": dict(zip(keys, assignment))}
+def _assignment_bytes(covering):
+    """Upper bound on the text of a Yes assignment in either output mode: one
+    entry per nonzero point, its k coordinates, k - 1 commas, an index below
+    l, and at most 7 bytes of quotes, separators and indent."""
+    q, k, l = covering.q, covering.k, len(covering.normals)
+    return (q**k - 1) * (k * len(str(q - 1)) + k - 1 + len(str(l - 1)) + 7)
+
+
+def _render_assignment(covering, head, tail, sep):
+    """The Yes assignment as text: one entry head + key + tail per nonzero
+    point of F_q^k in lexicographic order, joined by sep.  The key is the
+    point's coordinates joined by commas; tail holds the %d that the index of
+    the point's hyperplane fills.
+
+    No Python object is made per point.  The template of all the entries is
+    built in k passes of str.replace and str.join: a NUL marks the start of
+    a key, and each pass prepends a coordinate by joining q copies of the
+    block, copy d with "d," written after every mark.  The origin's entry
+    comes first and is cut off, as is the last separator.
+    """
+    q, k = covering.q, covering.k
+    digits = [str(d) for d in range(q)]
+    block = "".join([f"\0{d}{tail}{sep}" for d in digits])
+    for _ in range(k - 1):
+        block = "".join([block.replace("\0", f"\0{d},") for d in digits])
+    origin = len(f"{head}{','.join('0' * k)}{tail}{sep}")
+    # one statement each, so that at most two copies of the text are alive
+    block = block.replace("\0", head)
+    block = block[origin : -len(sep)]
+    return block % tuple(covering.assignment)
 
 
 def _decision_result(args):
@@ -94,7 +126,15 @@ def _decision_result(args):
 def cmd_decide(args):
     decision, result = _decision_result(args)
     if decision.verdict is Verdict.YES:
-        result["covering"] = _assignment_digest(decision.covering)
+        covering = decision.covering
+        size = _assignment_bytes(covering)
+        if size > ASSIGNMENT_TEXT_LIMIT:
+            raise GuardError(
+                f"the assignment of {covering.q}^{covering.k} - 1 points needs up to "
+                f"{size} bytes of output, over the limit {ASSIGNMENT_TEXT_LIMIT}"
+            )
+        # main() writes the covering's assignment as text in its place
+        result["covering"] = {"points_assigned": covering.q**covering.k - 1, "assignment": covering}
     elif decision.verdict is Verdict.NO:
         result["uncovered_witness"] = list(decision.uncovered)
         return 1, result
@@ -173,6 +213,8 @@ def cmd_census(args):
 def cmd_synthesize(args):
     if args.k < 2:
         raise UsageError("k must be >= 2")
+    if args.k > SYNTHESIZE_K_LIMIT:
+        raise GuardError(f"k = {args.k} exceeds limit {SYNTHESIZE_K_LIMIT}")
     if args.primes is not None:
         primes = args.primes
         if len(primes) < args.k:
@@ -254,7 +296,10 @@ def _print_text(result):
         pad = "  " * indent
         if isinstance(obj, dict):
             for key, val in obj.items():
-                if isinstance(val, (dict, list)) and val and not _is_flat(val):
+                if isinstance(val, CoveringResult):
+                    print(f"{pad}{key}:")
+                    print(_render_assignment(val, pad + "  ", ": %d", "\n"))
+                elif isinstance(val, (dict, list)) and val and not _is_flat(val):
                     print(f"{pad}{key}:")
                     emit(val, indent + 1)
                 else:
@@ -269,6 +314,28 @@ def _print_text(result):
                     print(f"{pad}- {item}")
 
     emit(result)
+
+
+def _print_json(envelope):
+    coverings = []
+
+    def default(obj):
+        if isinstance(obj, CoveringResult):
+            coverings.append(obj)
+            return "\0"
+        return str(obj)
+
+    # dumps, not dump: only the one-shot encoder runs in C
+    text = json.dumps(envelope, default=default)
+    if not coverings:
+        print(text)
+        return
+    # The assignment is spliced in at the NUL that stands for it, which dumps
+    # writes as "\u0000"; no other string of a decide envelope holds a NUL.
+    head, _, tail = text.partition('"\\u0000"')
+    sys.stdout.write(head + "{")
+    sys.stdout.write(_render_assignment(coverings[0], '"', '": %d', ", "))
+    print("}" + tail)
 
 
 def _is_flat(val):
@@ -381,8 +448,7 @@ def main(argv=None) -> int:
     }
     try:
         if args.json:
-            # dumps, not dump: only the one-shot encoder runs in C
-            print(json.dumps(envelope, default=str))
+            _print_json(envelope)
         else:
             print(f"command: {args.command}")
             _print_text(result)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,17 @@ def test_synthesize_budget_counts_only_the_pencil_coordinates(capsys):
     assert len(env["result"]["primes"]) == 20
 
 
+def test_synthesize_k_budget(capsys, monkeypatch):
+    # an over-budget k is refused before a single prime is looked for
+    def unsearched(q, k):
+        raise AssertionError("primes searched")
+
+    monkeypatch.setattr(criterion, "first_odd_primes", unsearched)
+    code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "1001")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: k = 1001 exceeds limit 1000"
+
+
 def test_synthesize_twists(capsys):
     code, env, _ = run_json(
         capsys, "synthesize", "--q", "3", "--k", "2", "--twists", "all"
@@ -231,6 +243,96 @@ def test_text_output_default(capsys):
     assert code == 1
     assert "verdict: no" in out
     assert "uncovered_witness: [1, 1]" in out
+
+
+def _reference_covering(covering):
+    # the assignment as a dict with one "x1,...,xk" key per nonzero point
+    digits = [str(x) for x in range(covering.q)]
+    keys = islice(map(",".join, product(digits, repeat=covering.k)), 1, None)
+    assignment = covering.assignment
+    return {"points_assigned": len(assignment), "assignment": dict(zip(keys, assignment))}
+
+
+def _reference_text(result):
+    # the generic text printer, which writes a dict as one "key: value" line
+    # per entry, one level deeper
+    lines = []
+
+    def flat(val):
+        return "[" + ", ".join(map(str, val)) + "]" if isinstance(val, list) else str(val)
+
+    def is_flat(val):
+        return isinstance(val, list) and all(not isinstance(x, (dict, list)) for x in val)
+
+    def emit(obj, indent):
+        pad = "  " * indent
+        if isinstance(obj, dict):
+            for key, val in obj.items():
+                if isinstance(val, (dict, list)) and val and not is_flat(val):
+                    lines.append(f"{pad}{key}:")
+                    emit(val, indent + 1)
+                else:
+                    lines.append(f"{pad}{key}: {flat(val)}")
+        else:
+            for item in obj:
+                lines.append(f"{pad}- {flat(item)}" if is_flat(item) else f"{pad}- {item}")
+
+    emit(result, 0)
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "q, k, padding_first",
+    [(3, 2, False), (3, 5, False), (3, 7, True), (3, 10, True), (5, 3, True), (5, 5, False),
+     (7, 2, False), (7, 5, True), (11, 2, False), (11, 3, True)],
+)
+def test_yes_output_matches_the_dict_reference(capsys, q, k, padding_first):
+    # a pencil on the first two primes and one padding element per further
+    # prime; with padding first, the pencil's indices reach 10 and more
+    p = criterion.first_odd_primes(q, k)
+    pencil = [p[0], p[1]] + [p[0] * p[1] ** t for t in range(1, q)]
+    elements = list(p[2:]) + pencil if padding_first else pencil + list(p[2:])
+    argv = ("decide", "--q", str(q), "--set", ",".join(map(str, elements)))
+    covering = criterion.decide(profiles.QInput(q, tuple(elements))).covering
+    expected = _reference_covering(covering)
+    if len(elements) > 10:
+        assert max(expected["assignment"].values()) >= 10
+
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    env = json.loads(out)
+    env["result"]["covering"] = expected
+    assert out == json.dumps(env) + "\n"
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "command: decide\n" + _reference_text(env["result"])
+
+
+def test_yes_assignment_output_budget(capsys, monkeypatch):
+    # q = 3, k = 13 is admitted; k = 14 (4.8e6 points) is refused before any
+    # text is rendered
+    rendered = []
+
+    def render(covering, head, tail, sep):
+        rendered.append(covering.k)
+        return ""
+
+    def decide_pencil(k):
+        p = criterion.first_odd_primes(3, k)
+        elements = [p[0], p[1], p[0] * p[1], p[0] * p[1] ** 2, *p[2:]]
+        return run(capsys, "--json", "decide", "--q", "3", "--set", ",".join(map(str, elements)))
+
+    monkeypatch.setattr(cli, "_render_assignment", render)
+    code, out, _ = decide_pencil(13)
+    assert code == 0 and rendered == [13] and json.loads(out)["result"]["verdict"] == "yes"
+    code, out, err = decide_pencil(14)
+    assert code == 2 and out == "" and rendered == [13]
+    size = (3**14 - 1) * (14 + 13 + 2 + 7)
+    assert err.strip() == (
+        f"error: the assignment of 3^14 - 1 points needs up to {size} bytes of output, "
+        f"over the limit {cli.ASSIGNMENT_TEXT_LIMIT}"
+    )
 
 
 @pytest.mark.parametrize(
