@@ -1,8 +1,10 @@
 """Arbitrary-precision integer arithmetic: primality, factorization, exact roots.
 
 factorize() trial-divides by the primes below 2^12, then splits what is left
-with Miller-Rabin and Pollard-Brent rho, within RHO_ITERATION_LIMIT steps per
-factor found.  coprime_base() splits a set of integers into pairwise coprime
+with Miller-Rabin, exact integer roots and Pollard-Brent rho: a cofactor
+a^d is split by its d-th root before rho runs, so RHO_ITERATION_LIMIT (steps
+per factor found) bounds only the smallest prime of a cofactor that is not a
+perfect power.  coprime_base() splits a set of integers into pairwise coprime
 pieces with gcds alone, so that a set whose elements share primes needs one
 factorization per piece, not one per element; strip_power() divides out
 the whole power of a divisor in O(log e) steps, not e.
@@ -27,6 +29,9 @@ _MR_RANDOM_ROUNDS = 64
 # so a prime factor up to about 10^12 splits (Brent's variant needed at most
 # 7.4 sqrt(p) steps on 3000 seeded semiprimes), and a cofactor whose smallest
 # prime is far larger fails in a few seconds instead of running for hours.
+# factorize splits a perfect power a^d with a root before rho runs, so the
+# budget bounds only the smallest prime of a cofactor that is no perfect
+# power: p^2 with p = 10^19 + 51 factors at once.
 RHO_ITERATION_LIMIT = 10**7
 
 
@@ -136,13 +141,28 @@ def _brent_rho(n, rng):
             return g
 
 
+def _perfect_power(v):
+    # (a, d) with v = a^d for a prime d, or None.  v has no prime factor
+    # below 2^12, so a >= 4099 and only d with 4099^d <= v can hold.  (Above
+    # 4099^4093, some 14,800 digits, a root of higher degree is left to rho.)
+    for d in _TRIAL_PRIMES:
+        if 4099**d > v:
+            return None
+        a = integer_qth_root(v, d)
+        if a is not None:
+            return a, d
+    return None
+
+
 def factorize(n: int) -> FactoredInteger:
     """Exact factorization: trial division by the primes below 2^12, then
-    Miller-Rabin and Brent-Pollard rho on the cofactor.
+    Miller-Rabin, exact roots and Brent-Pollard rho on the cofactor.
 
-    Raises GuardError when rho needs more than RHO_ITERATION_LIMIT steps for
-    one factor, which happens only above about 10^12 for the smallest prime
-    factor of the cofactor."""
+    A composite cofactor that is a perfect power a^d is split by its d-th
+    root, and a goes on at d times its multiplicity; only a composite that
+    is no perfect power goes to rho.  Raises GuardError when rho needs more
+    than RHO_ITERATION_LIMIT steps for one factor, which happens only above
+    about 10^12 for the smallest prime of such a composite."""
     if n == 0:
         raise ValueError("cannot factorize 0")
     sign = 1 if n > 0 else -1
@@ -158,15 +178,19 @@ def factorize(n: int) -> FactoredInteger:
             break
     else:  # m > 4093^2 and has no prime factor below 2^12
         rng = random.Random(m)
-        stack = [m]
+        stack = [(m, 1)]  # (value, multiplicity)
         while stack:
-            v = stack.pop()
+            v, e = stack.pop()
             if is_probable_prime(v):
-                counts[v] = counts.get(v, 0) + 1
+                counts[v] = counts.get(v, 0) + e
+                continue
+            root = _perfect_power(v)
+            if root is not None:
+                stack.append((root[0], e * root[1]))
                 continue
             g = _brent_rho(v, rng)
-            stack.append(g)
-            stack.append(v // g)
+            stack.append((g, e))
+            stack.append((v // g, e))
     return FactoredInteger(sign, tuple(sorted(counts.items())))
 
 

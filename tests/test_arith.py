@@ -2,7 +2,10 @@ import random
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qresidue import arith
 from qresidue.arith import (
     FactoredInteger,
     _brent_rho,
@@ -136,6 +139,70 @@ def test_factorize_matches_trial_division_reference():
         ns += elements
     for n in ns:
         assert factorize(n) == reference_factorize(n), n
+
+
+P = 10**19 + 51  # a prime far beyond the rho budget
+
+
+def counting_rho(monkeypatch):
+    """Wrap arith._brent_rho and return the list of cofactors it is called on."""
+    calls = []
+
+    def rho(n, rng):
+        calls.append(n)
+        return _brent_rho(n, rng)
+
+    monkeypatch.setattr(arith, "_brent_rho", rho)
+    return calls
+
+
+def test_factorize_splits_perfect_powers_without_rho(monkeypatch):
+    def no_rho(n, rng):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(arith, "_brent_rho", no_rho)
+    rng = random.Random(59)
+    primes = [random_prime(rng, 1 << 12, 10**9) for _ in range(6)] + [P]
+    for p in primes:
+        for d in range(2, 7):  # composite d = 4, 6 take two roots
+            assert factorize(p**d) == FactoredInteger(1, ((p, d),)), (p, d)
+            assert factorize(-(p**d)) == FactoredInteger(-1, ((p, d),)), (p, d)
+    # the smallest values past trial division: no prime below 2^12, > 4093^2
+    assert factorize(4099**2).factors == ((4099, 2),)
+    assert factorize(4099**3).factors == ((4099, 3),)
+
+
+def test_factorize_takes_a_composite_root_once(monkeypatch):
+    calls = counting_rho(monkeypatch)
+    p, r = 1_000_003, 999_999_937
+    assert factorize((p * r) ** 2).factors == ((p, 2), (r, 2))
+    assert calls == [p * r]
+
+
+def test_factorize_splits_a_non_power_then_its_power(monkeypatch):
+    calls = counting_rho(monkeypatch)
+    p, r = 1_000_003, 4099
+    assert factorize(p**2 * r).factors == ((r, 1), (p, 2))
+    assert calls[0] == p**2 * r
+    assert factorize(P**2 * r).factors == ((r, 1), (P, 2))
+
+
+RHO_PRIMES = (4099, 4111, 65537, 1_000_003, 999_999_937)  # within rho's reach
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    st.lists(st.sampled_from(RHO_PRIMES), min_size=1, max_size=3),
+    st.integers(0, 2),
+    st.integers(2, 7),
+)
+def test_factorize_of_a_power_scales_exponents(primes, big, d):
+    # P is the one prime beyond the rho budget, so factorize(a) always splits
+    a = prod(primes) * P**big
+    f = factorize(a)
+    scaled = tuple((p, e * d) for p, e in f.factors)
+    assert factorize(a**d) == FactoredInteger(1, scaled)
+    assert factorize(-(a**d)) == FactoredInteger(-1, scaled)
 
 
 def test_coprime_base():

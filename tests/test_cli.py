@@ -428,6 +428,21 @@ def test_rho_budget_is_a_guard_error(capsys):
     assert err.startswith("error:") and "Pollard rho iterations" in err
 
 
+def test_a_perfect_power_beyond_the_rho_budget_is_decided(capsys):
+    # P^2 with P = 10^19 + 51 is split by its square root, not by rho
+    p = 10**19 + 51
+    code, env, err = run_json(capsys, "decide", "--q", "3", "--set", f"2,{p**2}")
+    assert code == 1, err
+    result = env["result"]
+    assert result["verdict"] == "no"
+    assert result["profile"]["support_primes"] == [2, p]
+    assert result["profile"]["exponent_matrix"] == [[1, 0], [0, 2]]
+    assert result["uncovered_witness"] == [1, 1]
+    code, env, err = run_json(capsys, "certificate", "--q", "3", "--set", f"2,{p**2}")
+    assert code == 1, err
+    assert env["result"]["failing_twist"]["c"] == [1, 2]
+
+
 def test_keyboard_interrupt_is_not_a_verdict(capsys, monkeypatch):
     def interrupted(qinput):
         raise KeyboardInterrupt
