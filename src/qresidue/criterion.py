@@ -85,9 +85,14 @@ def _check_c(M, q, c):
 
 
 def skalba_condition_holds(M, q, c) -> bool:
-    """True iff the all-ones row is not in the row space of M(c)."""
+    """True iff the all-ones row is not in the row space of M(c).
+
+    That row space is the annihilator of Null(M(c)), so this row-reduces M(c)
+    itself, one rref per twist, and asks whether some basis vector has a
+    nonzero coordinate sum: the one-twist reference for the oracle.
+    """
     _check_c(M, q, c)
-    return fqlinalg.row_space_contains(twisted_matrix(M, q, c), [1] * len(c), q) is None
+    return any(sum(g) % q for g in fqlinalg.null_space_basis(twisted_matrix(M, q, c), q))
 
 
 def _twist_test(M, q):
@@ -147,11 +152,11 @@ def skalba_solve(profile: ResidueProfile, c) -> SkalbaCertificate | None:
 def counterexample_c(profile: ResidueProfile, d) -> tuple[int, ...]:
     """Failing twist c_j = (sum_i exponent[i][j] d_i)^-1 from an uncovered witness d."""
     q = profile.q
-    sums = fqlinalg.vec_mat(d, profile.exponents, q)
+    sums = fqlinalg.mat_vec(zip(*profile.exponents), d, q)
     if 0 in sums:
         raise ValueError("d is annihilated by some column; not an uncovered witness")
     c = tuple(pow(s, -1, q) for s in sums)
-    assert fqlinalg.vec_mat(d, twisted_matrix(profile.exponents, q, c), q) == [1] * profile.l
+    assert fqlinalg.mat_vec(zip(*twisted_matrix(profile.exponents, q, c)), d, q) == [1] * len(c)
     return c
 
 

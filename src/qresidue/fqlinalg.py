@@ -1,31 +1,17 @@
-"""Exact linear algebra over the prime field F_q: rref, row space, null space.
+"""Exact linear algebra over the prime field F_q: rref and null space.
 
 Matrices are lists of rows of ints; all arithmetic is reduced mod q after
 every operation.  q is assumed prime.
 """
 
 
-def _reduced(rows, q):
-    return [[x % q for x in row] for row in rows]
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def mat_vec(rows, x, q):
     return [sum(a * b for a, b in zip(row, x)) % q for row in rows]
 
 
-def vec_mat(d, rows, q):
-    """d^T M for a coefficient vector d over the rows of M."""
-    cols = len(rows[0])
-    return [sum(d[i] * rows[i][j] for i in range(len(rows))) % q for j in range(cols)]
-
-
 def rref(rows, q):
     """Reduced row-echelon form; returns (R, rank, pivot_columns)."""
-    R = _reduced(rows, q)
+    R = [[x % q for x in row] for row in rows]
     nrows = len(R)
     ncols = len(R[0]) if nrows else 0
     pivots = []
@@ -46,28 +32,6 @@ def rref(rows, q):
         if r == nrows:
             break
     return R, r, pivots
-
-
-def solve_linear(rows, b, q):
-    """Some x with Mx = b (free variables set to zero), or None if inconsistent."""
-    if len(b) != len(rows):
-        raise ValueError("dimension mismatch")
-    aug = [list(row) + [bi] for row, bi in zip(rows, b)]
-    R, rank, pivots = rref(aug, q)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = R[i][ncols]
-    return x
-
-
-def row_space_contains(rows, v, q):
-    """Coefficients d with d^T M = v^T if v lies in the row space, else None."""
-    if len(v) != len(rows[0]):
-        raise ValueError("dimension mismatch")
-    return solve_linear(transpose(rows), v, q)
 
 
 def null_space_basis(rows, q):

@@ -29,7 +29,7 @@ from operator import itemgetter
 
 from .arith import primes_below
 from .covering import GuardError, uncovered_count
-from .fqlinalg import rref, transpose
+from .fqlinalg import rref
 from .profiles import QInput, piece_exponents
 
 SEGMENT_SIZE = 10**6  # flags per sieve segment, one per odd number
@@ -128,7 +128,7 @@ def _symbol_plan(B, vectors, q):
     if not all(any(v) for v in vectors):
         return None
     # column j of the rref writes element j on the pivot elements
-    R, rank, pivots = rref(transpose(vectors), q)
+    R, rank, pivots = rref(list(zip(*vectors)), q)
     dependents = [
         [(i, R[i][j]) for i in range(rank) if R[i][j]]
         for j in range(len(B)) if j not in pivots

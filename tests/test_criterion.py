@@ -1,11 +1,15 @@
+import json
 import random
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qresidue import criterion, fqlinalg
-from qresidue.covering import GuardError, covers, synthesize_covering
+from qresidue.cli import main
+from qresidue.covering import GuardError, covers, synthesize_covering, uncovered_count
 from qresidue.criterion import (
     ORACLE_ENUMERATION_LIMIT,
     ORACLE_INSTANCE_LIMIT,
@@ -21,7 +25,7 @@ from qresidue.criterion import (
     skalba_solve,
     twisted_matrix,
 )
-from qresidue.fqlinalg import vec_mat
+from qresidue.fqlinalg import mat_vec, rref
 from qresidue.profiles import QInput, build_profile, hyperplanes_of
 
 CUBE_YES = QInput(3, (2, 3, 6, 12))
@@ -117,7 +121,7 @@ def test_counterexample_c_yields_all_ones():
         d = decision.uncovered
         c = counterexample_c(profile, d)
         M = twisted_matrix(profile.exponents, q, c)
-        assert vec_mat(list(d), M, q) == [1] * profile.l
+        assert mat_vec(zip(*M), d, q) == [1] * profile.l
         assert not skalba_condition_holds(profile.exponents, q, c)
 
 
@@ -258,12 +262,15 @@ def test_oracle_sweeps_keep_every_row(monkeypatch):
     assert checked == 20 and disagreements == []
 
 
-def _profile(q, columns):
-    """The residue profile of the set whose j-th element is prod_i p_i^col_j[i]
-    over the first odd primes p_i other than q."""
+def _elements(q, columns):
+    """The set whose j-th element is prod_i p_i^col_j[i] over the first odd
+    primes p_i other than q."""
     primes = first_odd_primes(q, len(columns[0]))
-    elements = tuple(prod(p**e for p, e in zip(primes, col)) for col in columns)
-    return build_profile(QInput(q, elements))
+    return tuple(prod(p**e for p, e in zip(primes, col)) for col in columns)
+
+
+def _profile(q, columns):
+    return build_profile(QInput(q, _elements(q, columns)))
 
 
 def _random_columns(q, rng, k, l):
@@ -408,3 +415,125 @@ def test_skalba_oracle_row_reduces_once_per_profile(monkeypatch):
     calls.clear()
     checked, disagreements = oracle_check_exhaustive(5, 2, 2)
     assert disagreements == [] and len(calls) == checked == 620
+
+
+@pytest.mark.parametrize("q, count", [(3, 40), (5, 12)])
+def test_skalba_condition_holds_matches_enumeration(q, count):
+    # the definition itself: c passes iff no d in F_q^k has d^T M(c) = (1, ..., 1)
+    rng = random.Random(97 + q)
+    seen = {True: 0, False: 0}
+    wide_null_spaces = 0
+    for _ in range(count):
+        k, l = rng.randint(1, 3), rng.randint(1, 4)
+        M = [[rng.randrange(q) for _ in range(l)] for _ in range(k)]
+        wide_null_spaces += l - rref(M, q)[1] >= 2
+        for c in product(range(1, q), repeat=l):
+            Mc = twisted_matrix(M, q, c)
+            reached = any(mat_vec(zip(*Mc), d, q) == [1] * l for d in product(range(q), repeat=k))
+            assert skalba_condition_holds(M, q, c) == (not reached), (M, c)
+            seen[not reached] += 1
+    assert seen[True] > 0 and seen[False] > 0 and wide_null_spaces > 0
+
+
+def projective_triangle(q):
+    """The projective triangle of PG(2, q): the 3 vertices and the points
+    (0, 1, -s), (-s, 0, 1), (1, -s, 0) for each nonzero square s mod q.  Its
+    3(q+1)/2 normals cover F_q^3, yet no q+1 of them form a pencil (Blokhuis,
+    Combinatorica 14, 1994)."""
+    squares = sorted({x * x % q for x in range(1, q)})
+    sides = [n for s in squares for n in ((0, 1, -s % q), (-s % q, 0, 1), (1, -s % q, 0))]
+    return [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + sides
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_projective_triangle_covers_without_a_pencil(q):
+    triangle = projective_triangle(q)
+    assert len(set(triangle)) == len(triangle) == 3 * (q + 1) // 2
+    assert covers(triangle, 3, q).covered
+    if q <= 7:  # a pencil: q+1 normals spanning a 2-dimensional space
+        assert all(rref(list(sub), q)[1] == 3 for sub in combinations(triangle, q + 1))
+    for j in range(len(triangle)):
+        dropped = triangle[:j] + triangle[j + 1:]
+        assert uncovered_count(dropped, 3, q) == (q - 1) ** 2 // 2
+        witness = covers(dropped, 3, q).witness
+        assert 0 not in mat_vec(dropped, witness, q)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_skalba_oracle_on_projective_triangle(q):
+    triangle = projective_triangle(q)
+    assert skalba_oracle(list(zip(*triangle)), q)
+    assert not skalba_oracle(list(zip(*triangle[:-1])), q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_projective_triangle_decide_and_certificate(q, capsys):
+    # elements over the first three odd primes other than q; each answer is
+    # checked with plain ints
+    triangle = projective_triangle(q)
+    full, dropped = _elements(q, triangle), _elements(q, triangle[1:])
+    assert decide(QInput(q, full)).verdict is Verdict.YES
+    assert decide(QInput(q, dropped)).verdict is Verdict.NO
+
+    def certificate(elements):
+        code = main(["--json", "certificate", "--q", str(q), "--set", ",".join(map(str, elements))])
+        return code, json.loads(capsys.readouterr().out)["result"]
+
+    code, result = certificate(full)
+    cert = result["skalba_certificate"]
+    assert code == 0 and sum(cert["f"]) % q
+    qfree = result["profile"]["qfree_values"]
+    assert prod(b**e for b, e in zip(qfree, cert["exponents"])) == cert["product"] == cert["root"] ** q
+    code, result = certificate(dropped)
+    twist = result["failing_twist"]
+    M = result["profile"]["exponent_matrix"]
+    assert code == 1 and all(c % q for c in twist["c"])
+    assert mat_vec(zip(*twisted_matrix(M, q, twist["c"])), twist["d"], q) == [1] * len(M[0])
+
+
+@st.composite
+def _base_families(draw):
+    """(q, columns): a pencil of F_q^2 padded to k = 3 or 4 with zero
+    coordinates and up to two extra columns, a projective triangle with or
+    without one point, or random nonzero columns."""
+    q = draw(st.sampled_from([3, 5]))
+    kind = draw(st.sampled_from(["pencil", "triangle", "random"]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if kind == "pencil":
+        k = rng.randint(3, 4 if q == 3 else 3)
+        return q, synthesize_covering(k, q) + _random_columns(q, rng, k, rng.randint(0, 2))
+    if kind == "triangle":
+        return q, projective_triangle(q)[rng.randint(0, 1):]
+    return q, _random_columns(q, rng, rng.randint(1, 3), rng.randint(1, q + 3))
+
+
+def test_verdict_is_invariant_on_yes_and_no_families():
+    # pencils and triangles are Yes instances; the random draws of the older
+    # invariance tests above are almost always No
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_base_families(), st.data())
+    def check(family, data):
+        q, columns = family
+        elements = list(_elements(q, columns))
+        l, k = len(elements), len(columns[0])
+        verdict = decide(QInput(q, tuple(elements))).verdict
+        seen.add(verdict)
+
+        def same(variant):
+            assert decide(QInput(q, tuple(variant))).verdict is verdict, (columns, variant)
+
+        same(data.draw(st.permutations(elements)))
+        signs = data.draw(st.lists(st.booleans(), min_size=l, max_size=l))
+        same([-b if flip else b for b, flip in zip(elements, signs)])
+        j, m = data.draw(st.integers(0, l - 1)), data.draw(st.integers(2, 6))
+        same(elements[:j] + [elements[j] * m**q] + elements[j + 1:])
+        a = data.draw(st.lists(st.integers(1, q - 1), min_size=l, max_size=l))
+        same(exponent_twist(QInput(q, tuple(elements)), a).elements)
+        entries = st.lists(st.integers(0, q - 1), min_size=k, max_size=k)
+        A = data.draw(st.lists(entries, min_size=k, max_size=k).filter(lambda A: rref(A, q)[1] == k))
+        same(_elements(q, [mat_vec(A, col, q) for col in columns]))
+
+    check()
+    assert seen == {Verdict.YES, Verdict.NO}

@@ -1,17 +1,7 @@
 import random
 from itertools import product
 
-import pytest
-
-from qresidue.fqlinalg import (
-    mat_vec,
-    null_space_basis,
-    row_space_contains,
-    rref,
-    solve_linear,
-    transpose,
-    vec_mat,
-)
+from qresidue.fqlinalg import mat_vec, null_space_basis, rref
 
 M_2346_12 = [[1, 0, 1, 2], [0, 1, 1, 1]]  # exponent matrix of {2, 3, 6, 12} mod 3
 
@@ -19,7 +9,7 @@ M_2346_12 = [[1, 0, 1, 2], [0, 1, 1, 1]]  # exponent matrix of {2, 3, 6, 12} mod
 def brute_row_space_solution(rows, v, q):
     """Exhaustive search over all q^rows coefficient vectors."""
     for d in product(range(q), repeat=len(rows)):
-        if vec_mat(list(d), rows, q) == list(v):
+        if mat_vec(zip(*rows), d, q) == list(v):
             return list(d)
     return None
 
@@ -33,45 +23,12 @@ def test_rref_examples():
     assert (R, rank, pivots) == ([[0, 0, 0], [0, 0, 0]], 0, [])
 
 
-def test_row_space_contains_identity():
-    assert row_space_contains([[1, 0], [0, 1]], [1, 1], 3) == [1, 1]
-
-
-def test_row_space_contains_all_ones_absent():
-    assert row_space_contains(M_2346_12, [1, 1, 1, 1], 3) is None
-    assert brute_row_space_solution(M_2346_12, [1, 1, 1, 1], 3) is None
-
-
-def test_row_space_contains_scaled_columns():
-    # columns of [[1,0,1],[0,1,1]] scaled by c = (1,1,2); expected value fixed
-    # by the 9-case brute-force oracle below
-    M = [[1, 0, 2], [0, 1, 2]]
-    expected = brute_row_space_solution(M, [1, 1, 1], 3)
-    assert expected == [1, 1]
-    d = row_space_contains(M, [1, 1, 1], 3)
-    assert d is not None
-    assert vec_mat(d, M, 3) == [1, 1, 1]
-
-
 def test_null_space_examples():
     identity3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert null_space_basis(identity3, 5) == []
     basis = null_space_basis(M_2346_12, 3)
     assert basis == [[2, 2, 1, 0], [1, 2, 0, 1]]
     assert len(null_space_basis([[0, 0]], 3)) == 2
-
-
-def test_solve_linear_examples():
-    assert solve_linear([[1, 0], [0, 1]], [2, 1], 3) == [2, 1]
-    x = solve_linear([[1, 1]], [2], 3)
-    assert x == [2, 0]
-    assert mat_vec([[1, 1]], x, 3) == [2]
-    assert solve_linear([[1], [1]], [1, 2], 3) is None
-
-
-def test_solve_linear_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_linear([[1, 0]], [1, 2], 3)
 
 
 def random_matrix(rng, q, max_dim=5):
@@ -88,20 +45,6 @@ def test_rref_idempotent_and_rank_stable():
         R, rank, pivots = rref(M, q)
         R2, rank2, pivots2 = rref(R, q)
         assert (R2, rank2, pivots2) == (R, rank, pivots)
-
-
-def test_row_space_contains_agrees_with_enumeration():
-    rng = random.Random(5)
-    for _ in range(200):
-        q = 3
-        M = random_matrix(rng, q, max_dim=4)
-        v = [rng.randrange(q) for _ in M[0]]
-        d = row_space_contains(M, v, q)
-        brute = brute_row_space_solution(M, v, q)
-        if d is None:
-            assert brute is None
-        else:
-            assert vec_mat(d, M, q) == v
 
 
 def test_null_space_properties():
@@ -126,16 +69,16 @@ def test_null_space_properties():
 
 
 def test_row_space_null_space_duality():
-    # v in row space of M  <=>  null(M) is contained in the kernel of x -> v.x
+    # v in row space of M  <=>  v is orthogonal to every basis vector of
+    # null(M): membership by enumeration, orthogonality from the basis
     rng = random.Random(13)
+    seen = {True: 0, False: 0}
     for _ in range(100):
         q = 3
         M = random_matrix(rng, q, max_dim=4)
         v = [rng.randrange(q) for _ in M[0]]
-        in_row_space = row_space_contains(M, v, q) is not None
-        null_contained = all(
-            sum(a * b for a, b in zip(v, x)) % q == 0
-            for x in product(range(q), repeat=len(M[0]))
-            if all(e == 0 for e in mat_vec(M, list(x), q))
-        )
-        assert in_row_space == null_contained
+        in_row_space = brute_row_space_solution(M, v, q) is not None
+        orthogonal = all(mat_vec([v], g, q) == [0] for g in null_space_basis(M, q))
+        assert in_row_space == orthogonal
+        seen[in_row_space] += 1
+    assert seen[True] > 0 and seen[False] > 0
