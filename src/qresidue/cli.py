@@ -7,7 +7,9 @@ guard errors (a factoring input over the Pollard rho budget among them), 3 for
 an internal error (a failed self-check or any other unexpected exception), 130
 when the run is interrupted (Ctrl-C), and 141 when the reader closes stdout
 before the output is written (a broken pipe, as 128 + SIGPIPE); the last three
-are never reported as a verdict.
+are never a verdict.  An exception raised while the answer is rendered or
+written maps to these codes like one raised by the command; the answer is all
+rendered before its first byte is written, so a failed rendering writes none.
 """
 
 import argparse
@@ -28,8 +30,9 @@ from .profiles import QInput
 
 SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
-# Bound on the bytes of text of a Yes assignment, checked before it is
-# rendered (see _assignment_bytes).  It admits q = 3, k = 13: on a 2-vCPU VM
+# Bound on the bytes of text of a Yes assignment (see _assignment_bytes) and
+# of the twists of synthesize, each counted before it is built.  It admits a
+# q = 3, k = 13 assignment: on a 2-vCPU VM
 # with Python 3.11, --json decide on a pencil and 2 padding elements there
 # (bound 5.3e7 bytes, 5.1e7 written) takes 0.43-0.48 s and peaks at 147 MB
 # RSS.
@@ -56,10 +59,16 @@ def _parse_q(value):
 
 
 def _parse_set(text, name, entries):
-    try:
-        elems = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as e:
-        raise UsageError(f"malformed integer list: {text!r}") from e
+    elems = []
+    for i, x in enumerate([x for x in text.split(",") if x.strip()], 1):
+        try:
+            elems.append(int(x))
+        except ValueError as e:
+            digits, limit = x.strip().lstrip("+-").replace("_", ""), sys.get_int_max_str_digits()
+            if digits.isdigit() and 0 < limit < len(digits):
+                raise UsageError(f"{name} entry {i} has {len(digits)} digits, over Python's "
+                                 f"limit of {limit} (PYTHONINTMAXSTRDIGITS=0 lifts it)") from e
+            raise UsageError(f"malformed integer list: {text!r}") from e
     if not elems:
         raise UsageError(f"{name} must be nonempty")
     if any(b == 0 for b in elems):
@@ -241,29 +250,29 @@ def cmd_synthesize(args):
         "set": B,
         "verdict": decision.verdict.value,
     }
-    l = len(B)
+    if args.twists is None:
+        return 0, result
+    q = args.q
     if args.twists == "all":
-        if (args.q - 1) ** l > TWIST_ORBIT_LIMIT:
-            raise GuardError(
-                f"(q-1)^l = {(args.q - 1) ** l} exceeds orbit limit; use --twists N"
-            )
-        orbit = [
-            [b**aj for b, aj in zip(B, a)]
-            for a in product(range(1, args.q), repeat=l)
-        ]
-        result["twists"] = orbit
-    elif args.twists is not None:
+        count = (q - 1) ** len(B)
+        if count > TWIST_ORBIT_LIMIT:
+            raise GuardError(f"(q-1)^l = {count} exceeds orbit limit; use --twists N")
+        exponents = product(range(1, q), repeat=len(B))
+    else:
         try:
             count = int(args.twists)
         except ValueError as e:
-            raise UsageError(
-                f"--twists must be 'all' or an integer, got {args.twists!r}"
-            ) from e
+            raise UsageError(f"--twists must be 'all' or an integer, got {args.twists!r}") from e
         _check_count("--twists", count, TWIST_ORBIT_LIMIT)
         rng = random.Random(args.seed)
-        result["twists"] = [
-            [b ** rng.randint(1, args.q - 1) for b in B] for _ in range(count)
-        ]
+        exponents = ([rng.randint(1, q - 1) for _ in B] for _ in range(count))
+    # b^a with a <= q-1 is below 2^((q-1) bitlen b): at most (q-1) bitlen(b) / 3 + 1
+    # digits, and 2 bytes a power and 8 a twist hold separators, brackets and indent
+    size = count * (sum((q - 1) * b.bit_length() // 3 + 3 for b in B) + 8)
+    if size > ASSIGNMENT_TEXT_LIMIT:
+        raise GuardError(f"{count} twists need up to {size} bytes of output, over the limit "
+                         f"{ASSIGNMENT_TEXT_LIMIT}")
+    result["twists"] = [[b**a for b, a in zip(B, e)] for e in exponents]
     return 0, result
 
 
@@ -291,65 +300,59 @@ def _check_count(flag, count, limit):
         raise GuardError(f"{flag} {count} exceeds limit {limit}")
 
 
-def _print_text(result):
-    def emit(obj, indent=0):
-        pad = "  " * indent
+# The renderers return the output as a list of strings, with every newline a
+# string of its own, as print writes it: a pipe whose reader leaves during a
+# long write takes part of it with no error, and only the next write raises
+# BrokenPipeError.
+def _render_text(envelope):
+    """The text form of an envelope: its command, then one "key: value" line
+    per entry of its result, a nested dict or list one level deeper."""
+    out = [f"command: {envelope['command']}", "\n"]
+
+    def emit(obj, pad):
         if isinstance(obj, dict):
             for key, val in obj.items():
                 if isinstance(val, CoveringResult):
-                    print(f"{pad}{key}:")
-                    print(_render_assignment(val, pad + "  ", ": %d", "\n"))
+                    body = _render_assignment(val, pad + "  ", ": %d", "\n")
+                    out.extend((f"{pad}{key}:", "\n", body, "\n"))
                 elif isinstance(val, (dict, list)) and val and not _is_flat(val):
-                    print(f"{pad}{key}:")
-                    emit(val, indent + 1)
+                    out.extend((f"{pad}{key}:", "\n"))
+                    emit(val, pad + "  ")
                 else:
-                    print(f"{pad}{key}: {_flat(val)}")
-        elif isinstance(obj, list):
+                    out.extend((f"{pad}{key}: {val}", "\n"))
+        else:
             for item in obj:
-                if isinstance(item, list) and _is_flat(item):
-                    print(f"{pad}- {_flat(item)}")
-                elif isinstance(item, (dict, list)):
-                    emit(item, indent)
+                if isinstance(item, (dict, list)) and not _is_flat(item):
+                    emit(item, pad)
                 else:
-                    print(f"{pad}- {item}")
+                    out.extend((f"{pad}- {item}", "\n"))
 
-    emit(result)
+    emit(envelope["result"], "")
+    return out
 
 
-def _print_json(envelope):
+def _render_json(envelope):
+    """The JSON form of an envelope."""
     coverings = []
 
     def default(obj):
-        if isinstance(obj, CoveringResult):
-            coverings.append(obj)
-            return "\0"
-        return str(obj)
+        if not isinstance(obj, CoveringResult):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        coverings.append(obj)
+        return "\0"
 
     # dumps, not dump: only the one-shot encoder runs in C
     text = json.dumps(envelope, default=default)
     if not coverings:
-        print(text)
-        return
+        return [text, "\n"]
     # The assignment is spliced in at the NUL that stands for it, which dumps
     # writes as "\u0000"; no other string of a decide envelope holds a NUL.
     head, _, tail = text.partition('"\\u0000"')
-    sys.stdout.write(head + "{")
-    sys.stdout.write(_render_assignment(coverings[0], '"', '": %d', ", "))
-    print("}" + tail)
+    return [head + "{", _render_assignment(coverings[0], '"', '": %d', ", "), "}" + tail, "\n"]
 
 
 def _is_flat(val):
-    if isinstance(val, list):
-        return all(not isinstance(x, (dict, list)) for x in val)
-    return False
-
-
-def _flat(val):
-    if isinstance(val, list):
-        return "[" + ", ".join(str(x) for x in val) + "]"
-    if isinstance(val, dict) and not val:
-        return "{}"
-    return str(val)
+    return isinstance(val, list) and all(not isinstance(x, (dict, list)) for x in val)
 
 
 @cache
@@ -425,7 +428,28 @@ def main(argv=None) -> int:
                 setattr(args, attr, _parse_set(getattr(args, attr), name, entries))
         start = time.perf_counter()
         code, result = args.func(args)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "input": {
+                key: val
+                for key, val in vars(args).items()
+                if key not in ("func", "json", "command") and val is not None
+            },
+            "result": result,
+            "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
+        }
+        # rendered in full before the first byte is written
+        sys.stdout.writelines(_render_json(envelope) if args.json else _render_text(envelope))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (UsageError, GuardError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -435,30 +459,6 @@ def main(argv=None) -> int:
     except Exception as e:  # a failed self-check or any other crash: never a verdict
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "input": {
-            key: val
-            for key, val in vars(args).items()
-            if key not in ("func", "json", "command") and val is not None
-        },
-        "result": result,
-        "timing_ms": round(elapsed_ms, 3),
-    }
-    try:
-        if args.json:
-            _print_json(envelope)
-        else:
-            print(f"command: {args.command}")
-            _print_text(result)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone.  Point stdout at devnull so that the flush at
-        # exit does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    return code
 
 
 def entry():

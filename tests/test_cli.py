@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import islice, product
@@ -236,6 +237,110 @@ def test_closed_pipe_is_not_a_verdict():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 141
     assert err == ""
+
+
+def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    # stdout a pipe whose reader is gone: the devnull descriptor that takes
+    # its place is closed again
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        code = main(["decide", "--q", "3", "--set", "2,3,6"])
+        after = len(os.listdir("/proc/self/fd"))
+    assert code == 141 and after == before
+
+
+@pytest.mark.parametrize("mode", [("--json",), ()])
+@pytest.mark.parametrize(
+    "error, expected", [(ValueError, 2), (RuntimeError, 3), (KeyboardInterrupt, 130), (MemoryError, 3)]
+)
+def test_render_failure_is_not_a_verdict(capsys, monkeypatch, mode, error, expected):
+    # the answer is rendered after the command has run; an exception there
+    # ends like one in the command, before a byte reaches stdout
+    def broken(covering, head, tail, sep):
+        raise error("render failed")
+
+    monkeypatch.setattr(cli, "_render_assignment", broken)
+    code, out, err = run(capsys, *mode, "decide", "--q", "3", "--set", "2,3,6,12")
+    assert code == expected and out == ""
+    assert err.strip() == {
+        2: "error: render failed",
+        3: f"internal error: {error.__name__}: render failed",
+        130: "interrupted",
+    }[expected]
+
+
+@pytest.fixture
+def digit_limit():
+    # Python's default limit on the digits of an int converted to or from text
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_an_entry_over_the_digit_limit_is_named(capsys, digit_limit):
+    code, out, err = run(capsys, "decide", "--q", "3", "--set", "2," + "7" * 5000)
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        "error: element set entry 2 has 5000 digits, over Python's limit of 4300 "
+        "(PYTHONINTMAXSTRDIGITS=0 lifts it)"
+    )
+    code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2", "--primes", "3,x" + "7" * 5000)
+    assert code == 2 and out == "" and err.startswith("error: malformed integer list")
+
+
+@pytest.mark.parametrize("mode", [("--json",), ()])
+def test_an_answer_over_the_digit_limit_is_a_usage_error(capsys, digit_limit, mode):
+    # one twist of the q = 89 pencil holds powers of about 5,400 digits
+    code, out, err = run(capsys, *mode, "synthesize", "--q", "89", "--k", "2", "--twists", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Exceeds the limit (4300 digits)")
+
+
+def test_a_certificate_product_over_the_digit_limit_is_a_usage_error(capsys, digit_limit):
+    # the q = 13 pencil P1, P2, P1 P2^t over the Mersenne primes 2^521 - 1 and
+    # 2^607 - 1: every element has under 2,400 digits, the Skalba product 4,415
+    p1, p2 = 2**521 - 1, 2**607 - 1
+    elements = [p1, p2] + [p1 * p2**t for t in range(1, 13)]
+    assert max(len(str(b)) for b in elements) < 2400
+    argv = ("--q", "13", "--set", ",".join(map(str, elements)))
+    code, env, _ = run_json(capsys, "decide", *argv)
+    assert code == 0 and env["result"]["verdict"] == "yes"
+    code, out, err = run(capsys, "--json", "certificate", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: Exceeds the limit (4300 digits)")
+
+
+def test_synthesize_twist_size_budget(capsys, monkeypatch):
+    # 10^5 twists of 90 powers of up to about 18,000 bits: refused before a
+    # single exponent is drawn
+    def undrawn(self, a, b):
+        raise AssertionError("twist exponent drawn")
+
+    monkeypatch.setattr(random.Random, "randint", undrawn)
+    code, out, err = run(capsys, "synthesize", "--q", "89", "--k", "2", "--twists", "100000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 100000 twists need up to ")
+    assert err.strip().endswith(f"bytes of output, over the limit {cli.ASSIGNMENT_TEXT_LIMIT}")
+
+
+def test_synthesize_twist_size_bound(capsys, monkeypatch):
+    # The bound is over the twists' text in both modes, and --twists all is
+    # under it too.  q = 3 over 5 and 7: 16 twists of 5^a, 7^a, 35^a, 245^a,
+    # a <= 2, each bounded by 5 + 5 + 7 + 8 bytes and 8 more.
+    code, env, _ = run_json(capsys, "synthesize", "--q", "3", "--k", "2", "--twists", "all")
+    assert code == 0 and len(json.dumps(env["result"]["twists"])) <= 16 * 33
+    code, out, _ = run(capsys, "synthesize", "--q", "3", "--k", "2", "--twists", "all")
+    assert code == 0 and len(out.partition("twists:\n")[2]) <= 16 * 33
+    monkeypatch.setattr(cli, "ASSIGNMENT_TEXT_LIMIT", 16 * 33 - 1)
+    code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2", "--twists", "all")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: 16 twists need up to 528 bytes of output, over the limit 527"
 
 
 def test_text_output_default(capsys):
