@@ -24,7 +24,7 @@ from math import prod
 
 from . import criterion, primescan
 from .arith import is_probable_prime
-from .covering import CoveringResult, GuardError, check_family, synthesize_covering
+from .covering import CoveringResult, GuardError, check_family, spread, synthesize_covering
 from .criterion import Verdict, decide
 from .profiles import QInput
 
@@ -32,10 +32,11 @@ SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
 # Bound on the bytes of text of a Yes assignment (see _assignment_bytes) and
 # of the twists of synthesize, each counted before it is built.  It admits a
-# q = 3, k = 13 assignment: on a 2-vCPU VM
-# with Python 3.11, --json decide on a pencil and 2 padding elements there
-# (bound 5.3e7 bytes, 5.1e7 written) takes 0.43-0.48 s and peaks at 147 MB
-# RSS.
+# q = 3, k = 13 assignment: on a 2-vCPU VM with Python 3.11, main() on
+# --json decide of a pencil and 11 padding elements there (bound 5.4e7
+# bytes, 5.1e7 written to /dev/null) takes 0.29-0.38 s and peaks at 125 MB
+# RSS: two copies of the text are alive at a time (the buffer and the text
+# cut from it, then the text and the bytes written).
 ASSIGNMENT_TEXT_LIMIT = 6 * 10**7
 # Bound on synthesize --k: the fixture prints k primes and q+1 normals of
 # length k, and the first 10^3 odd primes take about 20 ms to find.
@@ -46,10 +47,20 @@ class UsageError(ValueError):
     pass
 
 
+def _check_digit_limit(text, name):
+    """Raise a UsageError naming Python's int-to-str digit limit if text,
+    which int() refused, is an integer with more digits than that."""
+    digits, limit = text.strip().lstrip("+-").replace("_", ""), sys.get_int_max_str_digits()
+    if digits.isdigit() and 0 < limit < len(digits):
+        raise UsageError(f"{name} has {len(digits)} digits, over Python's limit of {limit} "
+                         "(PYTHONINTMAXSTRDIGITS=0 lifts it)")
+
+
 def _parse_q(value):
     try:
         q = int(value)
     except ValueError as e:
+        _check_digit_limit(value, "--q")
         raise UsageError(f"--q must be an integer, got {value!r}") from e
     if q == 2:
         raise UsageError("q must be an odd prime; q = 2 is out of scope")
@@ -64,10 +75,7 @@ def _parse_set(text, name, entries):
         try:
             elems.append(int(x))
         except ValueError as e:
-            digits, limit = x.strip().lstrip("+-").replace("_", ""), sys.get_int_max_str_digits()
-            if digits.isdigit() and 0 < limit < len(digits):
-                raise UsageError(f"{name} entry {i} has {len(digits)} digits, over Python's "
-                                 f"limit of {limit} (PYTHONINTMAXSTRDIGITS=0 lifts it)") from e
+            _check_digit_limit(x, f"{name} entry {i}")
             raise UsageError(f"malformed integer list: {text!r}") from e
     if not elems:
         raise UsageError(f"{name} must be nonempty")
@@ -79,33 +87,55 @@ def _parse_set(text, name, entries):
 def _assignment_bytes(covering):
     """Upper bound on the text of a Yes assignment in either output mode: one
     entry per nonzero point, its k coordinates, k - 1 commas, an index below
-    l, and at most 7 bytes of quotes, separators and indent."""
+    l, and at most 7 bytes of quotes, separators and indent.  With every
+    coordinate and the index at full width this is W (q^k - 1), W the width
+    of the renderer's entries in text mode (4 bytes of indent, ": " and a
+    newline): the size of its buffer less the origin's entry.  JSON's entries
+    are a byte narrower."""
     q, k, l = covering.q, covering.k, len(covering.normals)
     return (q**k - 1) * (k * len(str(q - 1)) + k - 1 + len(str(l - 1)) + 7)
 
 
-def _render_assignment(covering, head, tail, sep):
-    """The Yes assignment as text: one entry head + key + tail per nonzero
-    point of F_q^k in lexicographic order, joined by sep.  The key is the
-    point's coordinates joined by commas; tail holds the %d that the index of
-    the point's hyperplane fills.
+def _render_assignment(covering, head, mid, sep):
+    """The Yes assignment as text: one entry head + key + mid + index per
+    nonzero point of F_q^k in lexicographic order, joined by sep.  The key is
+    the point's coordinates joined by commas; the index is that of the
+    point's hyperplane.
 
-    No Python object is made per point.  The template of all the entries is
-    built in k passes of str.replace and str.join: a NUL marks the start of
-    a key, and each pass prepends a coordinate by joining q copies of the
-    block, copy d with "d," written after every mark.  The origin's entry
-    comes first and is cut off, as is the last separator.
+    No Python object is made per point.  All q^k entries get one width, each
+    coordinate and the index padded on the left with NULs to the width of the
+    largest, in one bytearray whose byte columns are written by
+    extended-slice assignments.  The buffer starts as the origin's entry and
+    takes the coordinates from the last: it is repeated q times, and copy d
+    gets digit d in the column of the coordinate.  Byte t of the index is
+    written from at most 10 masks, one per digit: the union of the owned
+    masks of the normals whose index has that digit there, spread to one
+    byte per point.  Then the origin's entry, the last separator and the NULs
+    are cut out.
     """
-    q, k = covering.q, covering.k
-    digits = [str(d) for d in range(q)]
-    block = "".join([f"\0{d}{tail}{sep}" for d in digits])
-    for _ in range(k - 1):
-        block = "".join([block.replace("\0", f"\0{d},") for d in digits])
-    origin = len(f"{head}{','.join('0' * k)}{tail}{sep}")
+    q, k, n, owned = covering.q, covering.k, covering.q**covering.k, covering.owned
+    keys = [str(d).rjust(len(str(q - 1)), "\0").encode() for d in range(q)]
+    labels = [str(i).rjust(len(str(len(owned) - 1)), "\0").encode() for i in range(len(owned))]
+    entry = b"%s%s%s%s%s" % (head.encode(), b",".join([keys[0]] * k), mid.encode(), labels[0],
+                             sep.encode())
+    width, step = len(entry), len(keys[0]) + 1
+    out = bytearray(entry)
+    for at in reversed(range(len(head), len(head) + k * step, step)):
+        run = len(out) // width
+        out *= q
+        for t in range(step - 1):
+            out[at + t :: width] = b"".join([key[t : t + 1] * run for key in keys])
+    at = width - len(sep) - len(labels[0])
+    for t in range(len(labels[0])):
+        by_byte = {}  # byte t of an index -> the points whose index has it
+        for label, own in zip(labels, owned):
+            by_byte[label[t]] = by_byte.get(label[t], 0) | own
+        column = sum(int.from_bytes(spread(own, n, byte), "big") for byte, own in by_byte.items() if byte)
+        out[at + t :: width] = column.to_bytes(n, "little")
+    del out[:width], out[-len(sep) :]  # the origin's entry and the last separator
     # one statement each, so that at most two copies of the text are alive
-    block = block.replace("\0", head)
-    block = block[origin : -len(sep)]
-    return block % tuple(covering.assignment)
+    out = out.translate(None, b"\0")
+    return out.decode()
 
 
 def _decision_result(args):
@@ -313,7 +343,7 @@ def _render_text(envelope):
         if isinstance(obj, dict):
             for key, val in obj.items():
                 if isinstance(val, CoveringResult):
-                    body = _render_assignment(val, pad + "  ", ": %d", "\n")
+                    body = _render_assignment(val, pad + "  ", ": ", "\n")
                     out.extend((f"{pad}{key}:", "\n", body, "\n"))
                 elif isinstance(val, (dict, list)) and val and not _is_flat(val):
                     out.extend((f"{pad}{key}:", "\n"))
@@ -348,7 +378,7 @@ def _render_json(envelope):
     # The assignment is spliced in at the NUL that stands for it, which dumps
     # writes as "\u0000"; no other string of a decide envelope holds a NUL.
     head, _, tail = text.partition('"\\u0000"')
-    return [head + "{", _render_assignment(coverings[0], '"', '": %d', ", "), "}" + tail, "\n"]
+    return [head + "{", _render_assignment(coverings[0], '"', '": ', ", "), "}" + tail, "\n"]
 
 
 def _is_flat(val):

@@ -8,7 +8,9 @@ the point set of one hyperplane as such a mask.  A family covers F_q^k iff
 the OR of its masks has all q^k bits set; its lexicographically first gap is
 the lowest zero bit of the OR, and the number of uncovered points is q^k
 minus the popcount.  The Yes assignment lists, in the same order, the index
-of the first normal whose hyperplane holds each nonzero point.
+of the first normal whose hyperplane holds each nonzero point.  It is read
+off the owned masks, those points of each mask that no earlier one has: the
+library as an index array, the CLI as text written straight from them.
 """
 
 import sys
@@ -59,25 +61,23 @@ def _point(j, k, q) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+def spread(mask, n, byte=1) -> bytes:
+    """One byte per point of an n-point mask, point n-1 first: byte where the
+    mask has the point, 0 where not."""
+    return format(mask, f"0{n}b").encode().translate(bytes.maketrans(b"01", bytes((0, byte))))
 
 
-def _first_containing(masks, n) -> array:
-    """Entry j: index of the first mask with bit j set (0 where none has it).
+def _first_containing(owned, n) -> array:
+    """Entry j: index of the owned mask with bit j set (0 where none has it).
 
-    Each mask's own bits, those no earlier mask has, are spread to one 32-bit
-    cell per point and scaled by the mask's index; the cells of different
-    masks are disjoint, so their sum holds every point's index.
+    The bits of owned mask i are spread to one 32-bit cell per point and
+    scaled by i; the masks are disjoint, so the sum holds every point's index.
     """
-    remaining = (1 << n) - 1
     cells = 0
-    for i, mask in enumerate(masks):
-        own = mask & remaining
-        remaining ^= own
+    for i, own in enumerate(owned):
         if i and own:
-            spread = format(own, f"0{n}b").encode().translate(_BIT_BYTES)
             # bytes 0/1 -> code points 0/1 -> big-endian 32-bit cells
-            cells += i * int.from_bytes(spread.decode("latin-1").encode("utf-32-be"), "big")
+            cells += i * int.from_bytes(spread(own, n).decode("latin-1").encode("utf-32-be"), "big")
     first = array("I", cells.to_bytes(4 * n, "little"))
     if sys.byteorder == "big":
         first.byteswap()
@@ -93,7 +93,9 @@ class CoveringResult:
     not.  Otherwise it is a read-only memoryview of q^k - 1 normal indices,
     one per nonzero point in lexicographic order: the first normal (in input
     order) whose hyperplane contains the point.  Both are derived on first
-    use from the zero masks, which are built at most once.
+    use from the zero masks, which are built at most once.  The assignment is
+    read off `owned`, the points that each normal is the first to hold, and
+    so is the CLI's text of it, which never builds the index array.
     """
 
     def __init__(self, normals, k, q):
@@ -112,6 +114,20 @@ class CoveringResult:
         return reduce(or_, self.masks, 0)
 
     @cached_property
+    def owned(self) -> list[int]:
+        """Mask i's own points, those of hyperplane i on no earlier hyperplane:
+        mask i & ~(masks 0..i-1).  They are disjoint; over a covering their
+        union is every point, and point j's assigned index is the i whose
+        owned mask has bit j."""
+        remaining = (1 << self.q**self.k) - 1
+        owned = []
+        for mask in self.masks:
+            own = mask & remaining
+            remaining ^= own
+            owned.append(own)
+        return owned
+
+    @cached_property
     def witness(self) -> tuple[int, ...] | None:
         if self.covered:
             return None
@@ -122,7 +138,7 @@ class CoveringResult:
     def assignment(self) -> memoryview | None:
         if not self.covered:
             return None
-        first = _first_containing(self.masks, self.q**self.k)
+        first = _first_containing(self.owned, self.q**self.k)
         return memoryview(first)[1:].toreadonly()  # entry 0 is the origin
 
 

@@ -7,6 +7,8 @@ from itertools import islice, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qresidue import cli, covering, criterion, profiles
 from qresidue.arith import coprime_base
@@ -234,9 +236,9 @@ def test_closed_pipe_is_not_a_verdict():
     )
     assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 141
-    assert err == ""
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
@@ -292,6 +294,11 @@ def test_an_entry_over_the_digit_limit_is_named(capsys, digit_limit):
     )
     code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2", "--primes", "3,x" + "7" * 5000)
     assert code == 2 and out == "" and err.startswith("error: malformed integer list")
+    code, out, err = run(capsys, "decide", "--q", "7" * 5000, "--set", "2")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --q has 5000 digits, over Python's limit of 4300 (PYTHONINTMAXSTRDIGITS=0 lifts it)\n"
+    )
 
 
 @pytest.mark.parametrize("mode", [("--json",), ()])
@@ -386,23 +393,17 @@ def _reference_text(result):
     return "".join(line + "\n" for line in lines)
 
 
-@pytest.mark.parametrize(
-    "q, k, padding_first",
-    [(3, 2, False), (3, 5, False), (3, 7, True), (3, 10, True), (5, 3, True), (5, 5, False),
-     (7, 2, False), (7, 5, True), (11, 2, False), (11, 3, True)],
-)
-def test_yes_output_matches_the_dict_reference(capsys, q, k, padding_first):
-    # a pencil on the first two primes and one padding element per further
-    # prime; with padding first, the pencil's indices reach 10 and more
-    p = criterion.first_odd_primes(q, k)
-    pencil = [p[0], p[1]] + [p[0] * p[1] ** t for t in range(1, q)]
-    elements = list(p[2:]) + pencil if padding_first else pencil + list(p[2:])
+def _assert_yes_output_matches_the_dict_reference(capsys, monkeypatch, q, elements):
     argv = ("decide", "--q", str(q), "--set", ",".join(map(str, elements)))
     covering = criterion.decide(profiles.QInput(q, tuple(elements))).covering
     expected = _reference_covering(covering)
-    if len(elements) > 10:
-        assert max(expected["assignment"].values()) >= 10
 
+    # the CLI writes the text from the owned masks and never builds the index
+    # array that covering.assignment reads
+    def unbuilt(owned, n):
+        raise AssertionError("the index array was built")
+
+    monkeypatch.setattr("qresidue.covering._first_containing", unbuilt)
     code, out, _ = run(capsys, "--json", *argv)
     assert code == 0
     env = json.loads(out)
@@ -412,6 +413,53 @@ def test_yes_output_matches_the_dict_reference(capsys, q, k, padding_first):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == "command: decide\n" + _reference_text(env["result"])
+    return expected
+
+
+@pytest.mark.parametrize(
+    "q, k, padding_first",
+    [(3, 2, False), (3, 5, False), (3, 7, True), (3, 10, True), (5, 3, True), (5, 5, False),
+     (7, 2, False), (7, 5, True), (11, 2, False), (11, 3, True), (13, 3, True), (101, 2, False)],
+)
+def test_yes_output_matches_the_dict_reference(capsys, monkeypatch, q, k, padding_first):
+    # a pencil on the first two primes and one padding element per further
+    # prime; with padding first, the pencil's indices reach 10 and more.  At
+    # q = 101 the coordinates and the indices have 1 to 3 digits.
+    p = criterion.first_odd_primes(q, k)
+    pencil = [p[0], p[1]] + [p[0] * p[1] ** t for t in range(1, q)]
+    elements = list(p[2:]) + pencil if padding_first else pencil + list(p[2:])
+    expected = _assert_yes_output_matches_the_dict_reference(capsys, monkeypatch, q, elements)
+    if len(elements) > 10:
+        assert max(expected["assignment"].values()) >= 10
+
+
+@pytest.mark.parametrize("elements", [[2, 3, 6, 18, 4, 9], [4, 3, 2, 6, 18], [2, 4, 3, 6, 18, 12]])
+def test_yes_output_with_idle_normals_matches_the_dict_reference(capsys, monkeypatch, elements):
+    # 2, 4 = 2^2, 18 = 2 * 3^2 and 12 = 2^2 * 3 have the normals (1, 0),
+    # (2, 0), (1, 2) and (2, 1): a scalar multiple of an earlier normal owns
+    # no point
+    expected = _assert_yes_output_matches_the_dict_reference(capsys, monkeypatch, 3, elements)
+    assert set(expected["assignment"].values()) < set(range(len(elements)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_rendered_assignment_matches_the_dict_reference(data):
+    # a pencil and random further normals, in random order: the indices run
+    # to 1-3 digits and some normals own no point
+    q = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    k = data.draw(st.integers(2, {3: 6, 5: 4, 7: 3}.get(q, 2)))
+    normal = st.tuples(*[st.integers(0, q - 1)] * k).filter(any)
+    size = data.draw(st.sampled_from([0, 5, 105]))
+    extra = data.draw(st.lists(normal, min_size=size, max_size=size))
+    normals = data.draw(st.permutations(covering.synthesize_covering(k, q) + extra))
+    result = covering.covers(normals, k, q)
+    envelope = {"schema_version": "1", "command": "decide", "input": {"q": q},
+                "result": {"verdict": "yes", "covering": {"points_assigned": q**k - 1, "assignment": result}},
+                "timing_ms": 1.0}
+    reference = dict(envelope, result={"verdict": "yes", "covering": _reference_covering(result)})
+    assert "".join(cli._render_json(envelope)) == json.dumps(reference) + "\n"
+    assert "".join(cli._render_text(envelope)) == "command: decide\n" + _reference_text(reference["result"])
 
 
 def test_yes_assignment_output_budget(capsys, monkeypatch):
