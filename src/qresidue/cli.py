@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import random
+import reprlib
 import sys
 import time
 from functools import cache
@@ -24,19 +25,19 @@ from math import prod
 
 from . import criterion, primescan
 from .arith import is_probable_prime
-from .covering import CoveringResult, GuardError, check_family, spread, synthesize_covering
+from .covering import CoveringResult, GuardError, check_family, synthesize_covering
 from .criterion import Verdict, decide
 from .profiles import QInput
 
 SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
-# Bound on the bytes of text of a Yes assignment (see _assignment_bytes) and
-# of the twists of synthesize, each counted before it is built.  It admits a
-# q = 3, k = 13 assignment: on a 2-vCPU VM with Python 3.11, main() on
-# --json decide of a pencil and 11 padding elements there (bound 5.4e7
-# bytes, 5.1e7 written to /dev/null) takes 0.29-0.38 s and peaks at 125 MB
-# RSS: two copies of the text are alive at a time (the buffer and the text
-# cut from it, then the text and the bytes written).
+# Bound on the bytes of text of a Yes assignment (W (q^k - 1), W the entry
+# width of _render_assignment) and of the twists of synthesize, each counted
+# before it is built.  It admits q = 3, k = 13: on a 2-vCPU VM, Python 3.11,
+# main() on --json decide of a pencil and 11 padding elements there (bound
+# 5.3e7 bytes, 5.1e7 written to /dev/null) takes 0.29-0.38 s and peaks at
+# 125 MB RSS: two copies of the text are alive at a time (the buffer and the
+# text cut from it, then the text and the bytes written).
 ASSIGNMENT_TEXT_LIMIT = 6 * 10**7
 # Bound on synthesize --k: the fixture prints k primes and q+1 normals of
 # length k, and the first 10^3 odd primes take about 20 ms to find.
@@ -47,21 +48,22 @@ class UsageError(ValueError):
     pass
 
 
-def _check_digit_limit(text, name):
-    """Raise a UsageError naming Python's int-to-str digit limit if text,
-    which int() refused, is an integer with more digits than that."""
-    digits, limit = text.strip().lstrip("+-").replace("_", ""), sys.get_int_max_str_digits()
-    if digits.isdigit() and 0 < limit < len(digits):
-        raise UsageError(f"{name} has {len(digits)} digits, over Python's limit of {limit} "
-                         "(PYTHONINTMAXSTRDIGITS=0 lifts it)")
+def _parse_int(text, name, malformed=None):
+    """int(text), or a UsageError about `name`: that text has more digits
+    than Python's int-to-str limit, or else `malformed` (by default, that
+    name must be an integer, with text quoted cut short)."""
+    try:
+        return int(text)
+    except ValueError as e:
+        digits, limit = text.strip().lstrip("+-").replace("_", ""), sys.get_int_max_str_digits()
+        if digits.isdigit() and 0 < limit < len(digits):
+            raise UsageError(f"{name} has {len(digits)} digits, over Python's limit of {limit} "
+                             "(PYTHONINTMAXSTRDIGITS=0 lifts it)") from e
+        raise UsageError(malformed or f"{name} must be an integer, got {reprlib.repr(text)}") from e
 
 
 def _parse_q(value):
-    try:
-        q = int(value)
-    except ValueError as e:
-        _check_digit_limit(value, "--q")
-        raise UsageError(f"--q must be an integer, got {value!r}") from e
+    q = _parse_int(value, "--q")
     if q == 2:
         raise UsageError("q must be an odd prime; q = 2 is out of scope")
     if q < 3 or q % 2 == 0 or not is_probable_prime(q):
@@ -70,30 +72,19 @@ def _parse_q(value):
 
 
 def _parse_set(text, name, entries):
-    elems = []
-    for i, x in enumerate([x for x in text.split(",") if x.strip()], 1):
-        try:
-            elems.append(int(x))
-        except ValueError as e:
-            _check_digit_limit(x, f"{name} entry {i}")
-            raise UsageError(f"malformed integer list: {text!r}") from e
+    items = [x for x in text.split(",") if x.strip()]
+    try:
+        elems = [int(x) for x in items]
+    except ValueError:
+        # an entry is not an integer: _parse_int raises the error for the first
+        malformed = f"malformed integer list: {reprlib.repr(text)}"
+        for i, x in enumerate(items, 1):
+            _parse_int(x, f"{name} entry {i}", malformed)
     if not elems:
         raise UsageError(f"{name} must be nonempty")
     if any(b == 0 for b in elems):
         raise UsageError(f"{entries} must be nonzero")
     return elems
-
-
-def _assignment_bytes(covering):
-    """Upper bound on the text of a Yes assignment in either output mode: one
-    entry per nonzero point, its k coordinates, k - 1 commas, an index below
-    l, and at most 7 bytes of quotes, separators and indent.  With every
-    coordinate and the index at full width this is W (q^k - 1), W the width
-    of the renderer's entries in text mode (4 bytes of indent, ": " and a
-    newline): the size of its buffer less the origin's entry.  JSON's entries
-    are a byte narrower."""
-    q, k, l = covering.q, covering.k, len(covering.normals)
-    return (q**k - 1) * (k * len(str(q - 1)) + k - 1 + len(str(l - 1)) + 7)
 
 
 def _render_assignment(covering, head, mid, sep):
@@ -102,23 +93,26 @@ def _render_assignment(covering, head, mid, sep):
     the point's coordinates joined by commas; the index is that of the
     point's hyperplane.
 
-    No Python object is made per point.  All q^k entries get one width, each
-    coordinate and the index padded on the left with NULs to the width of the
-    largest, in one bytearray whose byte columns are written by
+    No Python object is made per point.  All q^k entries get one width W,
+    each coordinate and the index padded on the left with NULs to the width
+    of the largest, so the text has at most W (q^k - 1) bytes; over
+    ASSIGNMENT_TEXT_LIMIT, that is a GuardError before any buffer is built.
+    The entries are one bytearray whose byte columns are written by
     extended-slice assignments.  The buffer starts as the origin's entry and
     takes the coordinates from the last: it is repeated q times, and copy d
     gets digit d in the column of the coordinate.  Byte t of the index is
-    written from at most 10 masks, one per digit: the union of the owned
-    masks of the normals whose index has that digit there, spread to one
-    byte per point.  Then the origin's entry, the last separator and the NULs
-    are cut out.
+    the covering's label column t under the NUL-padded decimal indices.  Then
+    the origin's entry, the last separator and the NULs are cut out.
     """
-    q, k, n, owned = covering.q, covering.k, covering.q**covering.k, covering.owned
+    q, k, n, l = covering.q, covering.k, covering.q**covering.k, len(covering.normals)
     keys = [str(d).rjust(len(str(q - 1)), "\0").encode() for d in range(q)]
-    labels = [str(i).rjust(len(str(len(owned) - 1)), "\0").encode() for i in range(len(owned))]
+    labels = [str(i).rjust(len(str(l - 1)), "\0").encode() for i in range(l)]
     entry = b"%s%s%s%s%s" % (head.encode(), b",".join([keys[0]] * k), mid.encode(), labels[0],
                              sep.encode())
     width, step = len(entry), len(keys[0]) + 1
+    if width * (n - 1) > ASSIGNMENT_TEXT_LIMIT:
+        raise GuardError(f"the assignment of {q}^{k} - 1 points needs up to {width * (n - 1)} "
+                         f"bytes of output, over the limit {ASSIGNMENT_TEXT_LIMIT}")
     out = bytearray(entry)
     for at in reversed(range(len(head), len(head) + k * step, step)):
         run = len(out) // width
@@ -126,12 +120,8 @@ def _render_assignment(covering, head, mid, sep):
         for t in range(step - 1):
             out[at + t :: width] = b"".join([key[t : t + 1] * run for key in keys])
     at = width - len(sep) - len(labels[0])
-    for t in range(len(labels[0])):
-        by_byte = {}  # byte t of an index -> the points whose index has it
-        for label, own in zip(labels, owned):
-            by_byte[label[t]] = by_byte.get(label[t], 0) | own
-        column = sum(int.from_bytes(spread(own, n, byte), "big") for byte, own in by_byte.items() if byte)
-        out[at + t :: width] = column.to_bytes(n, "little")
+    for t, column in enumerate(covering.label_columns(labels)):
+        out[at + t :: width] = column
     del out[:width], out[-len(sep) :]  # the origin's entry and the last separator
     # one statement each, so that at most two copies of the text are alive
     out = out.translate(None, b"\0")
@@ -166,12 +156,6 @@ def cmd_decide(args):
     decision, result = _decision_result(args)
     if decision.verdict is Verdict.YES:
         covering = decision.covering
-        size = _assignment_bytes(covering)
-        if size > ASSIGNMENT_TEXT_LIMIT:
-            raise GuardError(
-                f"the assignment of {covering.q}^{covering.k} - 1 points needs up to "
-                f"{size} bytes of output, over the limit {ASSIGNMENT_TEXT_LIMIT}"
-            )
         # main() writes the covering's assignment as text in its place
         result["covering"] = {"points_assigned": covering.q**covering.k - 1, "assignment": covering}
     elif decision.verdict is Verdict.NO:
@@ -289,10 +273,8 @@ def cmd_synthesize(args):
             raise GuardError(f"(q-1)^l = {count} exceeds orbit limit; use --twists N")
         exponents = product(range(1, q), repeat=len(B))
     else:
-        try:
-            count = int(args.twists)
-        except ValueError as e:
-            raise UsageError(f"--twists must be 'all' or an integer, got {args.twists!r}") from e
+        count = _parse_int(args.twists, "--twists",
+                           f"--twists must be 'all' or an integer, got {reprlib.repr(args.twists)}")
         _check_count("--twists", count, TWIST_ORBIT_LIMIT)
         rng = random.Random(args.seed)
         exponents = ([rng.randint(1, q - 1) for _ in B] for _ in range(count))
@@ -415,27 +397,27 @@ def build_parser():
     p = add("scan", cmd_scan, help="search for a counterexample prime")
     p.add_argument("--q", required=True)
     p.add_argument("--set", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", required=True)
 
     p = add("census", cmd_census, help="empirical vs predicted failure density")
     p.add_argument("--q", required=True)
     p.add_argument("--set", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", required=True)
 
     p = add("synthesize", cmd_synthesize, help="generate pencil-covering fixtures")
     p.add_argument("--q", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     p.add_argument("--primes", default=None)
     p.add_argument("--twists", default=None, help="'all' or a sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
 
     p = add("oracle-check", cmd_oracle_check, help="covering vs Skalba brute force")
     p.add_argument("--q", required=True)
-    p.add_argument("--k-max", dest="k_max", type=int, required=True)
-    p.add_argument("--l-max", dest="l_max", type=int, required=True)
+    p.add_argument("--k-max", dest="k_max", required=True)
+    p.add_argument("--l-max", dest="l_max", required=True)
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", default=200)
+    p.add_argument("--seed", default=0)
 
     return parser
 
@@ -448,6 +430,11 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         args.q = _parse_q(args.q)
+        # integer flags, parsed here and not by argparse, which quotes a bad value whole
+        for flag in ("--bound", "--k", "--trials", "--seed", "--k-max", "--l-max"):
+            attr = flag[2:].replace("-", "_")
+            if getattr(args, attr, None) is not None:
+                setattr(args, attr, _parse_int(getattr(args, attr), flag))
         # integer lists: (attribute, name of the list, name of its entries)
         for attr, name, entries in (
             ("set", "element set", "elements"),

@@ -8,13 +8,13 @@ the point set of one hyperplane as such a mask.  A family covers F_q^k iff
 the OR of its masks has all q^k bits set; its lexicographically first gap is
 the lowest zero bit of the OR, and the number of uncovered points is q^k
 minus the popcount.  The Yes assignment lists, in the same order, the index
-of the first normal whose hyperplane holds each nonzero point.  It is read
-off the owned masks, those points of each mask that no earlier one has: the
-library as an index array, the CLI as text written straight from them.
+of the first normal whose hyperplane holds each nonzero point.  Only
+CoveringResult.label_columns reads it off the masks, one byte column per
+byte of a label: the library's index array takes 4-byte labels, the CLI's
+text its decimal ones.
 """
 
 import sys
-from array import array
 from functools import cached_property, reduce
 from operator import or_
 
@@ -61,29 +61,6 @@ def _point(j, k, q) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def spread(mask, n, byte=1) -> bytes:
-    """One byte per point of an n-point mask, point n-1 first: byte where the
-    mask has the point, 0 where not."""
-    return format(mask, f"0{n}b").encode().translate(bytes.maketrans(b"01", bytes((0, byte))))
-
-
-def _first_containing(owned, n) -> array:
-    """Entry j: index of the owned mask with bit j set (0 where none has it).
-
-    The bits of owned mask i are spread to one 32-bit cell per point and
-    scaled by i; the masks are disjoint, so the sum holds every point's index.
-    """
-    cells = 0
-    for i, own in enumerate(owned):
-        if i and own:
-            # bytes 0/1 -> code points 0/1 -> big-endian 32-bit cells
-            cells += i * int.from_bytes(spread(own, n).decode("latin-1").encode("utf-32-be"), "big")
-    first = array("I", cells.to_bytes(4 * n, "little"))
-    if sys.byteorder == "big":
-        first.byteswap()
-    return first
-
-
 class CoveringResult:
     """Whether the hyperplanes of some normals cover F_q^k, with an assignment
     or a witness.
@@ -93,9 +70,8 @@ class CoveringResult:
     not.  Otherwise it is a read-only memoryview of q^k - 1 normal indices,
     one per nonzero point in lexicographic order: the first normal (in input
     order) whose hyperplane contains the point.  Both are derived on first
-    use from the zero masks, which are built at most once.  The assignment is
-    read off `owned`, the points that each normal is the first to hold, and
-    so is the CLI's text of it, which never builds the index array.
+    use from the zero masks, which are built at most once: the assignment
+    through `label_columns`, which the CLI's text of it reads too.
     """
 
     def __init__(self, normals, k, q):
@@ -114,20 +90,6 @@ class CoveringResult:
         return reduce(or_, self.masks, 0)
 
     @cached_property
-    def owned(self) -> list[int]:
-        """Mask i's own points, those of hyperplane i on no earlier hyperplane:
-        mask i & ~(masks 0..i-1).  They are disjoint; over a covering their
-        union is every point, and point j's assigned index is the i whose
-        owned mask has bit j."""
-        remaining = (1 << self.q**self.k) - 1
-        owned = []
-        for mask in self.masks:
-            own = mask & remaining
-            remaining ^= own
-            owned.append(own)
-        return owned
-
-    @cached_property
     def witness(self) -> tuple[int, ...] | None:
         if self.covered:
             return None
@@ -138,8 +100,37 @@ class CoveringResult:
     def assignment(self) -> memoryview | None:
         if not self.covered:
             return None
-        first = _first_containing(self.owned, self.q**self.k)
-        return memoryview(first)[1:].toreadonly()  # entry 0 is the origin
+        cells = bytearray(4 * self.q**self.k)  # one native 32-bit cell per point
+        labels = [i.to_bytes(4, sys.byteorder) for i in range(len(self.normals))]
+        for t, column in enumerate(self.label_columns(labels)):
+            cells[t::4] = column
+        return memoryview(cells).cast("I")[1:].toreadonly()  # entry 0 is the origin
+
+    def label_columns(self, labels):
+        """Byte columns of the assignment under labels, one bytes label per
+        normal, all of one length: column t has one byte per point of F_q^k in
+        lexicographic order, the origin first, byte t of the label of the
+        first normal whose hyperplane holds the point (0 where none does).
+
+        Normal i owns mask i & ~(masks 0..i-1), the points no earlier normal
+        holds.  The owned masks are disjoint, so for each t the owned masks
+        whose labels share byte t are ORed, and each union is spread to bytes
+        once and added into the column.
+        """
+        n = self.q**self.k
+        remaining = (1 << n) - 1
+        unions = [{} for _ in labels[0]]  # per t: byte t of a label -> its points
+        for label, mask in zip(labels, self.masks):
+            own = mask & remaining
+            remaining ^= own
+            for by_byte, byte in zip(unions, label):
+                by_byte[byte] = by_byte.get(byte, 0) | own
+        for by_byte in unions:
+            # each union as one byte per point, point n-1 first: byte where it has the point
+            spreads = (format(own, f"0{n}b").encode().translate(bytes.maketrans(b"01", bytes((0, byte))))
+                       for byte, own in by_byte.items() if byte and own)
+            column = sum(int.from_bytes(spread, "big") for spread in spreads)
+            yield column.to_bytes(n, "little")
 
 
 def check_family(normals, k, q):

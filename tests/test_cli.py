@@ -301,6 +301,31 @@ def test_an_entry_over_the_digit_limit_is_named(capsys, digit_limit):
     )
 
 
+SEVENS = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--q", ("decide", "--q", SEVENS + "x", "--set", "2")),
+        ("--bound", ("scan", "--q", "3", "--set", "2", "--bound", SEVENS)),
+        ("--k", ("synthesize", "--q", "3", "--k", SEVENS)),
+        ("--trials", ("oracle-check", "--q", "3", "--k-max", "2", "--l-max", "2",
+                      "--mode", "random", "--trials", SEVENS)),
+        ("--twists", ("synthesize", "--q", "3", "--k", "2", "--twists", SEVENS)),
+    ],
+)
+def test_an_over_long_integer_flag_is_named_briefly(capsys, digit_limit, flag, argv):
+    # the error names the flag and quotes at most a bounded part of its value
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.encode()) < 300
+    if argv[-1] == SEVENS:
+        assert err == (f"error: {flag} has 5000 digits, over Python's limit of 4300 "
+                       "(PYTHONINTMAXSTRDIGITS=0 lifts it)\n")
+    else:
+        assert err.startswith(f"error: {flag} must be an integer, got '7777")
+
+
 @pytest.mark.parametrize("mode", [("--json",), ()])
 def test_an_answer_over_the_digit_limit_is_a_usage_error(capsys, digit_limit, mode):
     # one twist of the q = 89 pencil holds powers of about 5,400 digits
@@ -398,12 +423,12 @@ def _assert_yes_output_matches_the_dict_reference(capsys, monkeypatch, q, elemen
     covering = criterion.decide(profiles.QInput(q, tuple(elements))).covering
     expected = _reference_covering(covering)
 
-    # the CLI writes the text from the owned masks and never builds the index
-    # array that covering.assignment reads
-    def unbuilt(owned, n):
+    # the CLI writes the text from the covering's label columns and never
+    # builds the index array that covering.assignment reads
+    def unbuilt(self):
         raise AssertionError("the index array was built")
 
-    monkeypatch.setattr("qresidue.covering._first_containing", unbuilt)
+    monkeypatch.setattr("qresidue.covering.CoveringResult.assignment", property(unbuilt))
     code, out, _ = run(capsys, "--json", *argv)
     assert code == 0
     env = json.loads(out)
@@ -462,30 +487,59 @@ def test_rendered_assignment_matches_the_dict_reference(data):
     assert "".join(cli._render_text(envelope)) == "command: decide\n" + _reference_text(reference["result"])
 
 
+@pytest.mark.parametrize("copies", [300, 70_000])
+def test_rendered_wide_indices_match_the_per_point_reference(copies):
+    # copies of the pencil's first normal, then the pencil: the later copies
+    # own no point, and the pencil's owners have indices over 255 or 65,535
+    # (2- or 3-byte labels in the library's array, 3 or 5 digits here)
+    q = 3
+    normals = [(1, 0)] * copies + covering.synthesize_covering(2, q)
+    result = covering.covers(normals, 2, q)
+    assignment = {
+        f"{x},{y}": next(i for i, (a, b) in enumerate(normals) if (a * x + b * y) % q == 0)
+        for x, y in islice(product(range(q), repeat=2), 1, None)
+    }
+    assert max(assignment.values()) == copies + 3
+    envelope = {"schema_version": "1", "command": "decide", "input": {"q": q},
+                "result": {"verdict": "yes", "covering": {"points_assigned": 8, "assignment": result}},
+                "timing_ms": 1.0}
+    reference = dict(envelope, result={"verdict": "yes",
+                                       "covering": {"points_assigned": 8, "assignment": assignment}})
+    assert "".join(cli._render_json(envelope)) == json.dumps(reference) + "\n"
+    assert "".join(cli._render_text(envelope)) == "command: decide\n" + _reference_text(reference["result"])
+
+
 def test_yes_assignment_output_budget(capsys, monkeypatch):
     # q = 3, k = 13 is admitted; k = 14 (4.8e6 points) is refused before any
-    # text is rendered
-    rendered = []
+    # label column is built.  The bound is W (3^k - 1), W the entry width of
+    # the mode: k digits, k - 1 commas, a 2-digit index, and 7 bytes of
+    # indent, ": " and newline in text, 6 of quotes, '": ' and ", " in JSON.
+    built = []
+    label_columns = covering.CoveringResult.label_columns
 
-    def render(covering, head, tail, sep):
-        rendered.append(covering.k)
-        return ""
+    def recorded(self, labels):
+        built.append(self.k)
+        return label_columns(self, labels)
 
-    def decide_pencil(k):
+    def decide_pencil(k, *mode):
         p = criterion.first_odd_primes(3, k)
         elements = [p[0], p[1], p[0] * p[1], p[0] * p[1] ** 2, *p[2:]]
-        return run(capsys, "--json", "decide", "--q", "3", "--set", ",".join(map(str, elements)))
+        return run(capsys, *mode, "decide", "--q", "3", "--set", ",".join(map(str, elements)))
 
-    monkeypatch.setattr(cli, "_render_assignment", render)
-    code, out, _ = decide_pencil(13)
-    assert code == 0 and rendered == [13] and json.loads(out)["result"]["verdict"] == "yes"
-    code, out, err = decide_pencil(14)
-    assert code == 2 and out == "" and rendered == [13]
-    size = (3**14 - 1) * (14 + 13 + 2 + 7)
-    assert err.strip() == (
-        f"error: the assignment of 3^14 - 1 points needs up to {size} bytes of output, "
-        f"over the limit {cli.ASSIGNMENT_TEXT_LIMIT}"
-    )
+    monkeypatch.setattr(covering.CoveringResult, "label_columns", recorded)
+    code, out, _ = decide_pencil(13, "--json")
+    # the envelope up to its 1.6e6-entry assignment
+    head = out.partition(', "covering": ')[0] + "}}"
+    assert code == 0 and built == [13] and json.loads(head)["result"]["verdict"] == "yes"
+    del out
+    for mode, extra in ((("--json",), 6), ((), 7)):
+        code, out, err = decide_pencil(14, *mode)
+        assert code == 2 and out == "" and built == [13]
+        size = (3**14 - 1) * (14 + 13 + 2 + extra)
+        assert err.strip() == (
+            f"error: the assignment of 3^14 - 1 points needs up to {size} bytes of output, "
+            f"over the limit {cli.ASSIGNMENT_TEXT_LIMIT}"
+        )
 
 
 @pytest.mark.parametrize(

@@ -246,6 +246,16 @@ def test_bitmask_engine_matches_enumeration(q, k_max):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("copies", [300, 70_000])
+def test_assignment_past_one_and_two_byte_indices(copies):
+    # copies of the pencil's first normal, then the pencil: the later copies
+    # own no point, and the pencil's owners have indices over 255 or 65,535
+    normals = [(1, 0)] * copies + synthesize_covering(2, 3)
+    _, _, assignment = reference_covers(normals, 2, 3)
+    assert max(assignment.values()) == copies + 3
+    assert list(covers(normals, 2, 3).assignment) == list(assignment.values())
+
+
 def test_empty_family_witness_is_origin():
     for q, k in [(3, 1), (3, 4), (5, 3), (7, 2)]:
         assert covers([], k, q).witness == (0,) * k
