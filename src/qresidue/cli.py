@@ -10,6 +10,8 @@ before the output is written (a broken pipe, as 128 + SIGPIPE); the last three
 are never a verdict.  An exception raised while the answer is rendered or
 written maps to these codes like one raised by the command; the answer is all
 rendered before its first byte is written, so a failed rendering writes none.
+Each flag is converted by its argparse type=, and each usage error, argparse's
+own included, is one bounded "error:" line on stderr, with no usage text.
 """
 
 import argparse
@@ -27,7 +29,7 @@ from . import criterion, primescan
 from .arith import is_probable_prime
 from .covering import CoveringResult, GuardError, check_family, synthesize_covering
 from .criterion import Verdict, decide
-from .profiles import QInput
+from .profiles import QInput, check_q
 
 SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
@@ -44,8 +46,13 @@ ASSIGNMENT_TEXT_LIMIT = 6 * 10**7
 SYNTHESIZE_K_LIMIT = 10**3
 
 
-class UsageError(ValueError):
+class UsageError(Exception):  # no ValueError: argparse rewrites those from a type= converter
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own usage errors; a long value keeps its head and tail
+        raise UsageError(message if len(message) <= 200 else f"{message[:100]}...{message[-100:]}")
 
 
 def _parse_int(text, name, malformed=None):
@@ -62,29 +69,28 @@ def _parse_int(text, name, malformed=None):
         raise UsageError(malformed or f"{name} must be an integer, got {reprlib.repr(text)}") from e
 
 
-def _parse_q(value):
-    q = _parse_int(value, "--q")
-    if q == 2:
-        raise UsageError("q must be an odd prime; q = 2 is out of scope")
-    if q < 3 or q % 2 == 0 or not is_probable_prime(q):
-        raise UsageError(f"q must be an odd prime, got {q}")
-    return q
-
-
-def _parse_set(text, name, entries):
-    items = [x for x in text.split(",") if x.strip()]
+def _parse_q(text):
     try:
-        elems = [int(x) for x in items]
-    except ValueError:
-        # an entry is not an integer: _parse_int raises the error for the first
-        malformed = f"malformed integer list: {reprlib.repr(text)}"
-        for i, x in enumerate(items, 1):
-            _parse_int(x, f"{name} entry {i}", malformed)
+        return check_q(_parse_int(text, "--q"))
+    except ValueError as e:  # from check_q: _parse_int raises a UsageError
+        raise UsageError(e) from e
+
+
+def _parse_set(text, name="element set", entries="elements"):
+    items = (x for x in text.split(",") if x.strip())
+    elems = [_parse_int(x, f"{name} entry {i}") for i, x in enumerate(items, 1)]
     if not elems:
         raise UsageError(f"{name} must be nonempty")
     if any(b == 0 for b in elems):
         raise UsageError(f"{entries} must be nonzero")
     return elems
+
+
+def _parse_twists(text):
+    if text == "all":
+        return text
+    return _parse_int(text, "--twists",
+                      f"--twists must be 'all' or an integer, got {reprlib.repr(text)}")
 
 
 def _render_assignment(covering, head, mid, sep):
@@ -273,8 +279,7 @@ def cmd_synthesize(args):
             raise GuardError(f"(q-1)^l = {count} exceeds orbit limit; use --twists N")
         exponents = product(range(1, q), repeat=len(B))
     else:
-        count = _parse_int(args.twists, "--twists",
-                           f"--twists must be 'all' or an integer, got {reprlib.repr(args.twists)}")
+        count = args.twists
         _check_count("--twists", count, TWIST_ORBIT_LIMIT)
         rng = random.Random(args.seed)
         exponents = ([rng.randint(1, q - 1) for _ in B] for _ in range(count))
@@ -372,7 +377,7 @@ def build_parser():
     """The argument parser, built once per process: parse_args() keeps no
     state between calls, and building six subparsers costs more than a small
     op."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qresidue",
         description="Decide q-th power residues modulo almost every prime "
         "via hyperplane coverings of F_q^k",
@@ -380,69 +385,51 @@ def build_parser():
     parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, **kwargs):  # every command takes --q
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
+        p.add_argument("--q", required=True, type=_parse_q)
         return p
 
+    def add_int(p, flag, **kwargs):  # an integer flag, named in its errors
+        p.add_argument(flag, type=lambda text: _parse_int(text, flag), **kwargs)
+
     p = add("decide", cmd_decide, help="verdict + covering certificate or witness")
-    p.add_argument("--q", required=True)
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", required=True, type=_parse_set)
 
     p = add("certificate", cmd_certificate, help="Skalba certificate or failing twist")
-    p.add_argument("--q", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--c", default=None, help="twist vector, comma-separated")
+    p.add_argument("--set", required=True, type=_parse_set)
+    p.add_argument("--c", default=None, help="twist vector, comma-separated",
+                   type=lambda text: _parse_set(text, "--c", "--c entries"))
 
     p = add("scan", cmd_scan, help="search for a counterexample prime")
-    p.add_argument("--q", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--bound", required=True)
+    p.add_argument("--set", required=True, type=_parse_set)
+    add_int(p, "--bound", required=True)
 
     p = add("census", cmd_census, help="empirical vs predicted failure density")
-    p.add_argument("--q", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--bound", required=True)
+    p.add_argument("--set", required=True, type=_parse_set)
+    add_int(p, "--bound", required=True)
 
     p = add("synthesize", cmd_synthesize, help="generate pencil-covering fixtures")
-    p.add_argument("--q", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--primes", default=None)
-    p.add_argument("--twists", default=None, help="'all' or a sample count")
-    p.add_argument("--seed", default=0)
+    add_int(p, "--k", required=True)
+    p.add_argument("--primes", default=None,
+                   type=lambda text: _parse_set(text, "--primes", "--primes entries"))
+    p.add_argument("--twists", default=None, help="'all' or a sample count", type=_parse_twists)
+    add_int(p, "--seed", default=0)
 
     p = add("oracle-check", cmd_oracle_check, help="covering vs Skalba brute force")
-    p.add_argument("--q", required=True)
-    p.add_argument("--k-max", dest="k_max", required=True)
-    p.add_argument("--l-max", dest="l_max", required=True)
+    add_int(p, "--k-max", dest="k_max", required=True)
+    add_int(p, "--l-max", dest="l_max", required=True)
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
-    p.add_argument("--trials", default=200)
-    p.add_argument("--seed", default=0)
+    add_int(p, "--trials", default=200)
+    add_int(p, "--seed", default=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
-        args.q = _parse_q(args.q)
-        # integer flags, parsed here and not by argparse, which quotes a bad value whole
-        for flag in ("--bound", "--k", "--trials", "--seed", "--k-max", "--l-max"):
-            attr = flag[2:].replace("-", "_")
-            if getattr(args, attr, None) is not None:
-                setattr(args, attr, _parse_int(getattr(args, attr), flag))
-        # integer lists: (attribute, name of the list, name of its entries)
-        for attr, name, entries in (
-            ("set", "element set", "elements"),
-            ("c", "--c", "--c entries"),
-            ("primes", "--primes", "--primes entries"),
-        ):
-            if getattr(args, attr, None) is not None:
-                setattr(args, attr, _parse_set(getattr(args, attr), name, entries))
+        args = build_parser().parse_args(argv)
         start = time.perf_counter()
         code, result = args.func(args)
         envelope = {
@@ -460,6 +447,8 @@ def main(argv=None) -> int:
         sys.stdout.writelines(_render_json(envelope) if args.json else _render_text(envelope))
         sys.stdout.flush()
         return code
+    except SystemExit as e:  # -h: argparse has printed the help
+        return e.code
     except BrokenPipeError:
         # The reader has gone.  Point stdout at devnull so that the flush at
         # exit does not raise again.

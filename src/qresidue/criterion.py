@@ -26,7 +26,8 @@ from operator import mul
 from . import fqlinalg
 from .arith import integer_qth_root, is_probable_prime
 from .covering import POINT_ENUMERATION_LIMIT, CoveringResult, GuardError, covers
-from .profiles import QInput, ResidueProfile, TrivialCertificate, build_profile, hyperplanes_of
+from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile, check_q,
+                       hyperplanes_of)
 
 # Bound on the Skalba checks, i.e. twist vectors c tried.  On a 2-vCPU VM
 # with Python 3.11, skalba_oracle on a covering profile at q = 3, k = 3,
@@ -178,8 +179,10 @@ def first_odd_primes(q, k):
 
 # --- covering-vs-oracle agreement sweeps -----------------------------------
 
-def _check_sizes(k_max, l_max):
-    """Both sweeps need k_max, l_max >= 1; the message names oracle-check's flag."""
+def _check_sizes(q, k_max, l_max):
+    """Both sweeps need an odd prime q and k_max, l_max >= 1; the message
+    names oracle-check's flag."""
+    check_q(q)
     if min(k_max, l_max) < 1:
         raise ValueError(f"--{'k' if k_max < 1 else 'l'}-max must be >= 1")
 
@@ -203,7 +206,7 @@ def oracle_check_exhaustive(q, k_max, l_max):
     GuardError if the instance count sum (q^k-1)^l or the Skalba check count
     sum (q^k-1)^l (q-1)^l over the sweep exceeds its limit.
     """
-    _check_sizes(k_max, l_max)
+    _check_sizes(q, k_max, l_max)
     matrices = checks = 0
     for k in range(1, k_max + 1):
         for l in range(1, l_max + 1):  # both sums only grow: stop at the first excess
@@ -232,7 +235,7 @@ def oracle_check_random(q, k_max, l_max, trials, seed):
     exceeds ORACLE_ENUMERATION_LIMIT, or if q^k_max exceeds the covering
     engine's POINT_ENUMERATION_LIMIT.
     """
-    _check_sizes(k_max, l_max)
+    _check_sizes(q, k_max, l_max)
     # (q-1)^24 >= 2^24 > ORACLE_ENUMERATION_LIMIT and q^17 >= 3^17 >
     # POINT_ENUMERATION_LIMIT, so the caps keep the powers small without
     # changing the outcome

@@ -99,9 +99,10 @@ def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
 
 
 def _check_bound(bound, minimum):
-    """The scan budget: minimum <= bound <= SCAN_BOUND_LIMIT."""
+    """The scan budget: minimum <= bound <= SCAN_BOUND_LIMIT; the message of
+    a bound below minimum names scan's and census's flag."""
     if bound < minimum:
-        raise ValueError(f"bound must be >= {minimum}")
+        raise ValueError(f"--bound must be >= {minimum}")
     if bound > SCAN_BOUND_LIMIT:
         raise GuardError(f"bound {bound} exceeds scan limit {SCAN_BOUND_LIMIT}")
 

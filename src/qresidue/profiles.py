@@ -9,10 +9,19 @@ one per q-free part, are the hyperplane normals that covering reads, as
 plain tuples.
 """
 
+import reprlib
 from dataclasses import dataclass
 from math import prod
 
 from .arith import coprime_base, factorize, integer_qth_root, is_probable_prime, strip_power
+
+
+def check_q(q):
+    """q if it is an odd prime, else a ValueError: the rule of QInput, the
+    oracle sweeps and --q."""
+    if q < 3 or q % 2 == 0 or not is_probable_prime(q):
+        raise ValueError(f"q must be an odd prime, got {reprlib.repr(q)}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -24,8 +33,7 @@ class QInput:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if self.q < 3 or self.q % 2 == 0 or not is_probable_prime(self.q):
-            raise ValueError("q must be an odd prime")
+        check_q(self.q)
         if not self.elements:
             raise ValueError("element set must be nonempty")
         if any(b == 0 for b in self.elements):

@@ -100,6 +100,8 @@ def test_scan_bound_guard(capsys):
         assert code == 2 and out == "" and "exceeds scan limit" in err
     code, out, err = run(capsys, "scan", "--q", "3", "--set", "2", "--bound", "1")
     assert code == 2 and ">= 2" in err
+    code, out, err = run(capsys, "census", "--q", "3", "--set", "2", "--bound", "99")
+    assert code == 2 and out == "" and err == "error: --bound must be >= 100\n"
 
 
 def test_census(capsys):
@@ -293,7 +295,8 @@ def test_an_entry_over_the_digit_limit_is_named(capsys, digit_limit):
         "(PYTHONINTMAXSTRDIGITS=0 lifts it)"
     )
     code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2", "--primes", "3,x" + "7" * 5000)
-    assert code == 2 and out == "" and err.startswith("error: malformed integer list")
+    assert code == 2 and out == "" and len(err.encode()) < 300
+    assert err.startswith("error: --primes entry 2 must be an integer, got 'x777")
     code, out, err = run(capsys, "decide", "--q", "7" * 5000, "--set", "2")
     assert code == 2 and out == ""
     assert err == (
@@ -324,6 +327,31 @@ def test_an_over_long_integer_flag_is_named_briefly(capsys, digit_limit, flag, a
                        "(PYTHONINTMAXSTRDIGITS=0 lifts it)\n")
     else:
         assert err.startswith(f"error: {flag} must be an integer, got '7777")
+
+
+@pytest.mark.parametrize("mode", [("--json",), ()])
+@pytest.mark.parametrize(
+    "named, argv",
+    [
+        ("command", (SEVENS,)),
+        ("unrecognized arguments: 7777", ("decide", "--q", "3", "--set", "2", SEVENS)),
+        ("--mode", ("oracle-check", "--q", "3", "--k-max", "2", "--l-max", "2", "--mode", SEVENS)),
+        ("--set", ("decide", "--q", "3")),
+    ],
+    ids=["command", "extra-argument", "--mode", "missing--set"],
+)
+def test_an_argparse_usage_error_is_one_brief_line(capsys, mode, named, argv):
+    # argparse's own usage errors leave through main's handler: no usage
+    # text, and a long value quoted by its head and tail only
+    code, out, err = run(capsys, *mode, *argv)
+    assert code == 2 and out == "" and len(err.encode()) < 300
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (("-h",), ("decide", "-h")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: qresidue") and err == ""
 
 
 @pytest.mark.parametrize("mode", [("--json",), ()])
@@ -575,6 +603,7 @@ def test_synthesize_twist_count_budget(capsys):
         assert code == 2 and out == "" and ">= 1" in err
     code, env, _ = run_json(capsys, "synthesize", "--q", "3", "--k", "2", "--twists", "5")
     assert code == 0 and len(env["result"]["twists"]) == 5
+    assert env["input"]["twists"] == 5  # the count, as the other integer flags
 
 
 def test_oracle_check_instance_budget(capsys):

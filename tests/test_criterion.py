@@ -216,12 +216,17 @@ def test_oracle_exhaustive_budget_counts_exact_instances(monkeypatch):
     oracle_check_exhaustive,
     lambda q, k_max, l_max: oracle_check_random(q, k_max, l_max, trials=1, seed=0),
 ], ids=["exhaustive", "random"])
-def test_oracle_sizes_below_one_are_rejected(sweep):
+def test_oracle_sizes_below_one_are_rejected(sweep, monkeypatch):
     # before any budget loop runs: k_max = 10^9 alone would take 10^9 steps
     with pytest.raises(ValueError, match="--l-max must be >= 1"):
         sweep(3, 10**9, 0)
     with pytest.raises(ValueError, match="--k-max must be >= 1"):
         sweep(3, 0, 10**9)
+    # q as QInput takes it: q = 1 would draw nonzero columns forever
+    _no_sweep(monkeypatch)
+    for q in (1, 2, 9):
+        with pytest.raises(ValueError, match=f"q must be an odd prime, got {q}"):
+            sweep(q, 2, 2)
 
 
 def test_oracle_random_budget(monkeypatch):
