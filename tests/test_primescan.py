@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qresidue import covering, primescan, profiles
 from qresidue.arith import FactoredInteger, factorize
@@ -36,6 +38,22 @@ def test_primes_up_to_crosses_segment_boundary():
     primes = [p for p in primes_up_to(edge + 100) if p > edge - 100]
     naive = [p for p in range(edge - 99, edge + 101) if all(p % d for d in range(2, isqrt(p) + 1))]
     assert primes == naive
+
+
+def test_split_primes_match_the_filtered_primes(monkeypatch):
+    # the stride of each segment starts on the flag of low + 2i = 1 mod q, so
+    # tiny segments put that start on every residue of low mod q
+    for segment in (1, 2, 3, 7):
+        monkeypatch.setattr(primescan, "SEGMENT_SIZE", segment)
+        for bound in range(301):
+            primes = list(primes_up_to(bound))
+            for q in (3, 5, 7):
+                counted, split = 0, []
+                for flags, segment_split in primescan._split_primes(bound, q, 1):
+                    counted += flags.count(1)
+                    split += segment_split
+                assert split == [p for p in primes if p % q == 1]
+                assert counted == len(primes[1:])  # the odd primes
 
 
 def test_has_qth_power_mod_p():
@@ -111,15 +129,16 @@ def test_census_two_dim_density():
 
 
 def _no_scan(monkeypatch):
+    # every prime the scans see, split or not, comes from this one sieve
     def fail(bound):
         raise AssertionError("primes were sieved before the guard")
 
-    monkeypatch.setattr(primescan, "primes_up_to", fail)
+    monkeypatch.setattr(primescan, "_sieve", fail)
 
 
 def test_census_guard_fires_before_the_scan(monkeypatch):
-    _no_scan(monkeypatch)
     eighteen_primes = [p for p in primes_up_to(67) if p != 3]  # 3^18 points
+    _no_scan(monkeypatch)
     with pytest.raises(GuardError):
         census(eighteen_primes, 3, 2 * 10**6)
 
@@ -134,6 +153,13 @@ def test_scan_bound_budget_fires_before_the_scan(monkeypatch):
         census([2], 3, 99)
     with pytest.raises(ValueError):
         find_counterexample_prime([2], 3, 1)
+
+
+def test_a_set_that_cannot_fail_is_not_scanned(monkeypatch):
+    # 8 = 2^3 and -8 * 7^3 are +-(a cube), so a residue at every prime
+    _no_scan(monkeypatch)
+    assert find_counterexample_prime([8, 5], 3, SCAN_BOUND_LIMIT) is None
+    assert find_counterexample_prime([5, -8 * 7**3, 7], 3, SCAN_BOUND_LIMIT) is None
 
 
 def test_scan_rejects_what_qinput_rejects():
@@ -315,3 +341,42 @@ def test_census_needs_no_factoring(monkeypatch):
     assert rep.predicted_density == Fraction(2, 9)
     fields, _ = _reference_scan([_SEMIPRIME, 2], 3, 1000)
     assert rep == DensityReport(**fields, predicted_density=Fraction(2, 9))
+
+
+_PRIMES_BELOW_800 = _plain_sieve(800)
+
+
+@st.composite
+def _signed_sets(draw):
+    """(q, B, bound): B holds +-1, multiples of q, and primes below 800
+    times 1..12; the bound falls below or next to q, among the prime factors
+    of B, or above max |B|.  q = 101 puts census bounds on both sides of q."""
+    q = draw(st.sampled_from([3, 5, 7, 101]))
+    element = st.one_of(
+        st.just(1),
+        st.integers(1, 30).map(lambda m: q * m),
+        st.builds(lambda p, m: p * m, st.sampled_from(_PRIMES_BELOW_800), st.integers(1, 12)),
+    )
+    # one element at q = 101 keeps the prediction's q^k points few
+    B = draw(st.lists(st.tuples(element, st.booleans()), min_size=1, max_size=4 if q < 100 else 1))
+    B = [-b if negative else b for b, negative in B]
+    top = max(map(abs, B))
+    bound = draw(st.one_of(st.integers(2, q + 1), st.integers(q - 1, q + 1),
+                           st.integers(2, max(top, 2)), st.integers(max(top, 2), top + 300)))
+    return q, B, bound
+
+
+def test_scans_match_reference_loops_on_random_sets(monkeypatch):
+    monkeypatch.setattr(primescan, "SEGMENT_SIZE", 7)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(_signed_sets())
+    def check(case):
+        q, B, bound = case
+        fields, first = _reference_scan(B, q, bound)
+        assert find_counterexample_prime(B, q, bound) == first
+        if bound >= 100:
+            expected = DensityReport(**fields, predicted_density=_prime_row_density(B, q))
+            assert census(B, q, bound) == expected
+
+    check()
