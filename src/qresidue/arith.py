@@ -7,7 +7,10 @@ per factor found) bounds only the smallest prime of a cofactor that is not a
 perfect power.  coprime_base() splits a set of integers into pairwise coprime
 pieces with gcds alone, so that a set whose elements share primes needs one
 factorization per piece, not one per element; strip_power() divides out
-the whole power of a divisor in O(log e) steps, not e.
+the whole power of a divisor in O(log e) steps, not e.  odd_prime_flags()
+is the package's one sieve of Eratosthenes, a bytearray of flags over the
+odd numbers: it yields the trial primes here and every prime that primescan
+counts or scans.
 
 Primality is proven below 3.3e24 (deterministic Miller-Rabin witnesses).  A
 prime factor at or above that bound is accepted after 64 seeded random
@@ -39,17 +42,20 @@ class GuardError(ValueError):
     """A work or enumeration guard was exceeded."""
 
 
-def primes_below(bound):
-    """The primes below bound >= 2, by a sieve of Eratosthenes."""
-    sieve = bytearray([1]) * bound
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
-    return tuple(compress(range(bound), sieve))
+def odd_prime_flags(bound):
+    """A sieve of Eratosthenes over the odd numbers 3..bound, for bound >= 0:
+    a bytearray whose flag i is 1 iff 3 + 2i is prime."""
+    flags = bytearray([1]) * ((bound - 1) // 2)
+    for i in range((math.isqrt(bound) - 1) // 2):  # 3 + 2i <= isqrt(bound)
+        if flags[i]:
+            p = 3 + 2 * i
+            start = (p * p - 3) // 2
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+    return flags
 
 
-_TRIAL_PRIMES = primes_below(1 << 12)  # 564 primes, 2 to 4093
+# 564 primes, 2 to 4093
+_TRIAL_PRIMES = (2, *compress(range(3, 1 << 12, 2), odd_prime_flags(1 << 12)))
 
 
 @dataclass(frozen=True)

@@ -297,7 +297,6 @@ def cmd_oracle_check(args):
     if args.mode == "exhaustive":
         checked, bad = criterion.oracle_check_exhaustive(args.q, args.k_max, args.l_max)
     else:
-        _check_count("--trials", args.trials, criterion.ORACLE_INSTANCE_LIMIT)
         checked, bad = criterion.oracle_check_random(
             args.q, args.k_max, args.l_max, args.trials, args.seed
         )

@@ -231,11 +231,16 @@ def oracle_check_exhaustive(q, k_max, l_max):
 def oracle_check_random(q, k_max, l_max, trials, seed):
     """Compare both routes on random nonzero-column matrices.
 
-    Raises GuardError if trials (q-1)^l_max, a bound on the Skalba checks,
-    exceeds ORACLE_ENUMERATION_LIMIT, or if q^k_max exceeds the covering
-    engine's POINT_ENUMERATION_LIMIT.
+    Raises ValueError if trials < 1, and GuardError if trials exceeds
+    ORACLE_INSTANCE_LIMIT, if trials (q-1)^l_max, a bound on the Skalba
+    checks, exceeds ORACLE_ENUMERATION_LIMIT, or if q^k_max exceeds the
+    covering engine's POINT_ENUMERATION_LIMIT.
     """
     _check_sizes(q, k_max, l_max)
+    if trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if trials > ORACLE_INSTANCE_LIMIT:
+        raise GuardError(f"--trials {trials} exceeds limit {ORACLE_INSTANCE_LIMIT}")
     # (q-1)^24 >= 2^24 > ORACLE_ENUMERATION_LIMIT and q^17 >= 3^17 >
     # POINT_ENUMERATION_LIMIT, so the caps keep the powers small without
     # changing the outcome

@@ -11,13 +11,13 @@ prediction factors: both read the exponent vectors of B over the gcd coprime
 pieces of |B| (profiles.piece_exponents).  U / q^k depends only on the row
 space, which the pieces span as the support primes do.
 
-Primes come from one segmented sieve over the odd numbers, a bytearray of
-flags per segment.  Flag i stands for low + 2i, so the split primes of a
-segment are every q-th flag from the one i with low + 2i = 1 mod q: the scan
-reads only that strided slice, and drops the split primes that divide an
-element.  The census counts all primes of a segment with bytearray.count,
-and its excluded primes as q plus the primes up to max |b| that divide an
-element.  No other prime takes a Python step.
+Primes come from one sieve over the odd numbers up to the bound,
+arith.odd_prime_flags: a bytearray in which flag i stands for 3 + 2i.  That
+is 1 mod q exactly when i = -1 mod q, so the split primes are every q-th
+flag from i = q - 1 on: the scan reads only that strided slice, and drops
+the split primes that divide an element.  The census counts all primes with
+bytearray.count, and its excluded primes as q plus the primes up to max |b|
+that divide an element.  No other prime takes a Python step.
 
 At a split prime the Euler value b^((p-1)/q) mod p is a q-th root of unity,
 and it is multiplicative in b.  So the scan runs Euler's criterion only on a
@@ -32,19 +32,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import isqrt, prod
+from math import prod
 from operator import itemgetter
 
-from .arith import primes_below
+from .arith import odd_prime_flags
 from .covering import GuardError, uncovered_count
 from .fqlinalg import rref
 from .profiles import QInput, piece_exponents
 
-SEGMENT_SIZE = 10**6  # flags per sieve segment, one per odd number
-# Bound on the bound of a scan or census.  On a 2-vCPU VM with Python 3.11, at
-# 10^7 and q = 3, a census of the covering set {2, 3, 6, 12, 5, 7} (the Euler
-# loop runs at every split prime) takes 1.5 s and a scan of it 1.2-1.3 s; a
-# census of {2} takes 1.0-1.1 s.  The process peaks at 28 MB RSS.
+# Bound on the bound of a scan or census, and of primes_up_to: the sieve holds
+# bound / 2 flags at once.  On a 2-vCPU VM with Python 3.11, at 10^7 and
+# q = 3, a census of the covering set {2, 3, 6, 12, 5, 7} (the Euler loop runs
+# at every split prime) takes 1.0-1.6 s and a scan of it 1.1-1.6 s, peaking at
+# 22 MB RSS; a census of {2} takes 0.7-1.1 s and peaks at 30 MB, as it keeps
+# its 221,607 failing primes.
 SCAN_BOUND_LIMIT = 10**7
 _FAILING_LIST_CAP = 25
 
@@ -68,49 +69,26 @@ class DensityReport:
     predicted_density: Fraction
 
 
-def _sieve(bound):
-    """Yield (low, flags) per segment of a segmented sieve of Eratosthenes
-    over the odd numbers 3..bound: flag i is 1 iff low + 2i is prime."""
-    base_primes = primes_below(isqrt(bound) + 1)[1:]
-    low = 3
-    while low <= bound:
-        size = min(SEGMENT_SIZE, (bound - low) // 2 + 1)
-        high = low + 2 * (size - 1)
-        flags = bytearray([1]) * size
-        for p in base_primes:
-            if p * p > high:
-                break
-            start = max(p * p, (low + p - 1) // p * p)
-            if start % 2 == 0:
-                start += p
-            i = (start - low) // 2
-            flags[i::p] = bytes(len(range(i, size, p)))
-        yield low, flags
-        low = high + 2
-
-
 def primes_up_to(bound):
-    """Yield all primes <= bound, in order."""
+    """Yield all primes <= bound, in order.  Sieves bound / 2 bytes, so a
+    bound over SCAN_BOUND_LIMIT is a GuardError before any sieving."""
     if bound < 2:
         return
+    _check_bound(bound, 2)
     yield 2
-    for low, flags in _sieve(bound):
-        yield from compress(range(low, low + 2 * len(flags), 2), flags)
+    yield from compress(range(3, bound + 1, 2), odd_prime_flags(bound))
 
 
-def _split_primes(bound, q, product):
-    """Yield (flags, split) per segment of _sieve(bound): split iterates, in
-    order, the segment's primes p = 1 mod q that do not divide product.
+def _split_primes(flags, q, product):
+    """The primes p = 1 mod q of odd_prime_flags' flags that do not divide
+    product, in order.
 
-    Flag i stands for low + 2i, which is 1 mod q exactly when
-    i = (1 - low) / 2 mod q, so the split primes sit at every q-th flag from
-    that i on.  Neither 2 nor q is ever a split prime.
+    Flag i stands for 3 + 2i, which is 1 mod q exactly when i = -1 mod q, so
+    the split primes sit at every q-th flag from i = q - 1 on.  Neither 2
+    nor q is ever a split prime.
     """
-    half = (q + 1) // 2  # the inverse of 2 mod q
-    for low, flags in _sieve(bound):
-        i = (1 - low) * half % q
-        split = compress(range(low + 2 * i, low + 2 * len(flags), 2 * q), flags[i::q])
-        yield flags, filter(product.__mod__, split)
+    split = compress(range(2 * q + 1, 3 + 2 * len(flags), 2 * q), flags[q - 1 :: q])
+    return filter(product.__mod__, split)
 
 
 def _euler(b, p, q):
@@ -199,10 +177,9 @@ def find_counterexample_prime(B, q, bound) -> int | None:
     plan = _symbol_plan(B, vectors, q)
     if plan is None:
         return None
-    for _, split in _split_primes(bound, q, prod(B)):
-        for p in split:
-            if _fails(plan, p, q):
-                return p
+    for p in _split_primes(odd_prime_flags(bound), q, prod(B)):
+        if _fails(plan, p, q):
+            return p
     return None
 
 
@@ -234,15 +211,14 @@ def census(B, q, bound) -> DensityReport:
     predicted = _density(vectors, q)
     plan = _symbol_plan(B, vectors, q)
     excluded = _excluded(B, q, bound)
-    primes = 1  # 2, since bound >= 100; the sieve counts the odd ones
+    flags = odd_prime_flags(bound)
+    primes = 1 + flags.count(1)  # 2, since bound >= 100, and the odd primes
     split = 0
     failing = []
-    for flags, split_primes in _split_primes(bound, q, prod(B)):
-        primes += flags.count(1)
-        for p in split_primes:
-            split += 1
-            if plan is not None and _fails(plan, p, q):
-                failing.append(p)
+    for p in _split_primes(flags, q, prod(B)):
+        split += 1
+        if plan is not None and _fails(plan, p, q):
+            failing.append(p)
     checked = primes - excluded
     empirical = Fraction(len(failing), checked) if checked else Fraction(0)
     return DensityReport(

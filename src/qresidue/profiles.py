@@ -53,7 +53,11 @@ class ResidueProfile:
     """Support primes p_1..p_k and the k x l exponent matrix over F_q.
 
     Columns are deduplicated by q-free value; provenance maps each surviving
-    column to the first input element that produced it.
+    column to the first input element that produced it.  The columns are
+    pairwise distinct: build_profile keys them by piece vector, and each kept
+    piece is no q-th power, so one of its primes has an exponent e that is a
+    unit mod q; that prime's row is e times the piece's row, so distinct
+    piece vectors give distinct columns.
     """
 
     q: int
@@ -114,5 +118,5 @@ def build_profile(qinput: QInput):
 
 
 def hyperplanes_of(profile: ResidueProfile) -> list[tuple[int, ...]]:
-    """The column normals, duplicates dropped, in first-occurrence order."""
-    return list(dict.fromkeys(zip(*profile.exponents)))
+    """The column normals, in column order; they are pairwise distinct."""
+    return list(zip(*profile.exponents))

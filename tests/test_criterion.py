@@ -237,6 +237,13 @@ def test_oracle_random_budget(monkeypatch):
         oracle_check_random(3, 2, 4, trials=ORACLE_ENUMERATION_LIMIT // 16 + 1, seed=0)
     with pytest.raises(GuardError):
         oracle_check_random(7, 2, 10**9, trials=1, seed=0)
+    # the sweep's instance budget, also where the checks would fit
+    with pytest.raises(GuardError, match=rf"--trials {ORACLE_INSTANCE_LIMIT + 1} exceeds limit"):
+        oracle_check_random(3, 1, 1, trials=ORACLE_INSTANCE_LIMIT + 1, seed=0)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="--trials must be >= 1") as refused:
+            oracle_check_random(3, 1, 1, trials=trials, seed=0)
+        assert refused.type is ValueError  # a usage error, not over budget
     for q, k_max in ((3, 17), (3, 10**9), (10007, 3)):  # q^k_max > 10^8 points
         with pytest.raises(GuardError, match=rf"q\^k_max = {q}\^{k_max} "):
             oracle_check_random(q, k_max, 1, trials=1, seed=0)

@@ -1,14 +1,15 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qresidue import covering, primescan, profiles
-from qresidue.arith import FactoredInteger, factorize
+from qresidue import arith, covering, primescan, profiles
+from qresidue.arith import FactoredInteger, factorize, odd_prime_flags
 from qresidue.covering import GuardError
 from qresidue.primescan import (
     SCAN_BOUND_LIMIT,
@@ -22,38 +23,47 @@ from qresidue.fqlinalg import rref
 from qresidue.profiles import QInput, TrivialCertificate, build_profile, hyperplanes_of
 
 
-def test_primes_up_to_matches_naive(monkeypatch):
-    # tiny segments put their edges on odd and even offsets, on base primes
+def _trial_division_primes(bound):
+    return [p for p in range(2, bound + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+def test_primes_up_to_matches_naive():
+    # every bound puts the sieve's end on odd and even numbers, on primes
     # and on their squares
-    primes = [p for p in range(2, 301) if all(p % d for d in range(2, p))]
-    for segment in (primescan.SEGMENT_SIZE, 1, 2, 3, 7):
-        monkeypatch.setattr(primescan, "SEGMENT_SIZE", segment)
-        for bound in range(301):
-            assert list(primes_up_to(bound)) == [p for p in primes if p <= bound]
+    for bound in range(301):
+        primes = _trial_division_primes(bound)
+        assert list(primes_up_to(bound)) == primes
+        assert list(compress(range(3, bound + 1, 2), odd_prime_flags(bound))) == primes[1:]
+
+
+def test_trial_primes_are_the_primes_below_4096():
+    assert arith._TRIAL_PRIMES == tuple(_trial_division_primes(4095))
+    assert len(arith._TRIAL_PRIMES) == 564
 
 
 def test_primes_up_to_crosses_segment_boundary():
-    # a segment of SEGMENT_SIZE flags spans 2 * SEGMENT_SIZE odd numbers
-    edge = 3 + 2 * primescan.SEGMENT_SIZE
+    # a large-bound spot check: the primes within 100 of 2 * 10^6 + 3
+    edge = 3 + 2 * 10**6
     primes = [p for p in primes_up_to(edge + 100) if p > edge - 100]
     naive = [p for p in range(edge - 99, edge + 101) if all(p % d for d in range(2, isqrt(p) + 1))]
     assert primes == naive
 
 
-def test_split_primes_match_the_filtered_primes(monkeypatch):
-    # the stride of each segment starts on the flag of low + 2i = 1 mod q, so
-    # tiny segments put that start on every residue of low mod q
-    for segment in (1, 2, 3, 7):
-        monkeypatch.setattr(primescan, "SEGMENT_SIZE", segment)
-        for bound in range(301):
-            primes = list(primes_up_to(bound))
-            for q in (3, 5, 7):
-                counted, split = 0, []
-                for flags, segment_split in primescan._split_primes(bound, q, 1):
-                    counted += flags.count(1)
-                    split += segment_split
-                assert split == [p for p in primes if p % q == 1]
-                assert counted == len(primes[1:])  # the odd primes
+def test_primes_up_to_guards_its_bound_before_sieving(monkeypatch):
+    _no_scan(monkeypatch)
+    with pytest.raises(GuardError):
+        list(primes_up_to(SCAN_BOUND_LIMIT + 1))
+
+
+def test_split_primes_match_the_filtered_primes():
+    # the stride starts on the flag of 3 + 2i = 1 mod q, i = q - 1
+    for bound in range(301):
+        primes = list(primes_up_to(bound))
+        flags = odd_prime_flags(bound)
+        for q in (3, 5, 7):
+            assert list(primescan._split_primes(flags, q, 1)) == [p for p in primes if p % q == 1]
+            assert list(primescan._split_primes(flags, q, 2 * 7 * 13)) == \
+                [p for p in primes if p % q == 1 and p not in (7, 13)]
 
 
 def test_has_qth_power_mod_p():
@@ -133,7 +143,7 @@ def _no_scan(monkeypatch):
     def fail(bound):
         raise AssertionError("primes were sieved before the guard")
 
-    monkeypatch.setattr(primescan, "_sieve", fail)
+    monkeypatch.setattr(primescan, "odd_prime_flags", fail)
 
 
 def test_census_guard_fires_before_the_scan(monkeypatch):
@@ -268,8 +278,6 @@ def _prime_row_density(B, q):
 
 @pytest.mark.parametrize("q, B, bound", list(_scan_cases()))
 def test_scan_matches_reference_loops(monkeypatch, q, B, bound):
-    # small segments, so every bound crosses segment edges
-    monkeypatch.setattr(primescan, "SEGMENT_SIZE", 4099)
     monkeypatch.setattr(profiles, "factorize", _factorize_knowing_the_semiprime)
     fields, first = _reference_scan(B, q, bound)
     expected = DensityReport(**fields, predicted_density=_prime_row_density(B, q))
@@ -366,9 +374,7 @@ def _signed_sets(draw):
     return q, B, bound
 
 
-def test_scans_match_reference_loops_on_random_sets(monkeypatch):
-    monkeypatch.setattr(primescan, "SEGMENT_SIZE", 7)
-
+def test_scans_match_reference_loops_on_random_sets():
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(_signed_sets())
     def check(case):

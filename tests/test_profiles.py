@@ -90,9 +90,32 @@ def test_hyperplanes_of():
     profile = build_profile(QInput(3, (2, 3, 6)))
     assert hyperplanes_of(profile) == [(1, 0), (0, 1), (1, 1)]
     assert hyperplanes_of(build_profile(QInput(3, (2,)))) == [(1,)]
-    # duplicate columns keep their first occurrence, in column order
-    profile = ResidueProfile(3, (2, 3), ((1, 0, 1, 0), (1, 1, 1, 1)), {}, (6, 3, 6, 3))
-    assert hyperplanes_of(profile) == [(1, 1), (0, 1)]
+    # columns in column order
+    profile = ResidueProfile(3, (2, 3), ((1, 0, 2), (1, 1, 0)), {}, (6, 3, 4))
+    assert hyperplanes_of(profile) == [(1, 1), (0, 1), (2, 0)]
+
+
+def test_profile_columns_are_distinct():
+    # elements equal up to a q-th power share a piece vector, and so one
+    # column; no two distinct piece vectors may meet in one column
+    rng = random.Random(44)
+    for _ in range(300):
+        q = rng.choice([3, 5, 7])
+        primes = rng.sample([2, 3, 5, 7, 11, 13, 4093], rng.randint(1, 4))
+        elems = []
+        for _ in range(rng.randint(1, 6)):
+            b = 1
+            for p in rng.sample(primes, rng.randint(1, len(primes))):
+                b *= p ** rng.randint(1, 2 * q)
+            elems.append(rng.choice([-1, 1]) * b)
+        copies = rng.sample(elems, rng.randint(0, len(elems)))
+        elems += [b * rng.choice(primes) ** q for b in copies]
+        profile = build_profile(QInput(q, tuple(elems)))
+        if isinstance(profile, TrivialCertificate):
+            continue
+        columns = hyperplanes_of(profile)
+        assert columns == list(zip(*profile.exponents))
+        assert len(set(columns)) == len(columns) == profile.l
 
 
 def test_profile_invariants_random():
