@@ -1,31 +1,52 @@
 """Arbitrary-precision integer arithmetic: primality, factorization, exact roots.
 
-factorize() trial-divides by the primes below 2^12, then splits what is left
-with Miller-Rabin, exact integer roots and Pollard-Brent rho: a cofactor
-a^d is split by its d-th root before rho runs, so RHO_ITERATION_LIMIT (steps
-per factor found) bounds only the smallest prime of a cofactor that is not a
-perfect power.  coprime_base() splits a set of integers into pairwise coprime
-pieces with gcds alone, so that a set whose elements share primes needs one
-factorization per piece, not one per element; strip_power() divides out
-the whole power of a divisor in O(log e) steps, not e.  odd_prime_flags()
-is the package's one sieve of Eratosthenes, a bytearray of flags over the
-odd numbers: it yields the trial primes here and every prime that primescan
-counts or scans.
+factorize() takes the primes below 2^12 out with one gcd against their
+product, then splits what is left with Miller-Rabin, exact integer roots and
+Pollard-Brent rho: a cofactor a^d is split by its d-th root before rho runs,
+so RHO_ITERATION_LIMIT (steps per factor found) bounds only the smallest
+prime of a cofactor that is not a perfect power.  coprime_base() splits a
+set of integers into pairwise coprime pieces with gcds alone, so that a set
+whose elements share primes needs one factorization per piece, not one per
+element; strip_power() divides out the whole power of a divisor in O(log e)
+steps, not e.  odd_prime_flags() is the package's one sieve of
+Eratosthenes, a bytearray of flags over the odd numbers: it yields the trial
+primes here and every prime that primescan counts or scans.
 
-Primality is proven below 3.3e24 (deterministic Miller-Rabin witnesses).  A
-prime factor at or above that bound is accepted after 64 seeded random
-Miller-Rabin rounds: it is a probable prime, not a proven one.
+Primality is proven below psi_13 = 3.3e24: n < psi_t is tested with the
+first t prime witnesses, where psi_t (OEIS A014233) is the least strong
+pseudoprime to all of them.  A prime factor at or above psi_13 is accepted
+after 64 seeded random Miller-Rabin rounds: it is a probable prime, not a
+proven one.
 """
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
-# Miller-Rabin is deterministic below this bound with the first twelve prime
-# witnesses (Sorenson & Webster).
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# _MR_PSI[t - 1] is psi_t, the least odd composite that is a strong
+# pseudoprime to each of the first t prime witnesses (OEIS A014233; Jaeschke,
+# Math. Comp. 61, 1993; Sorenson & Webster, Math. Comp. 86, 2017, for psi_12
+# and psi_13).  So the first t witnesses prove n < psi_t prime; twelve are not
+# enough below psi_13, as psi_12 = 399165290221 * 798330580441 shows.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
+_MR_PSI = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 _MR_RANDOM_ROUNDS = 64
 
 # Steps of the rho iteration allowed per factor found: ten times sqrt(10^12),
@@ -54,8 +75,10 @@ def odd_prime_flags(bound):
     return flags
 
 
-# 564 primes, 2 to 4093
+# 564 primes, 2 to 4093, and their product (5,811 bits): gcd(m, _TRIAL_PRODUCT)
+# holds exactly the primes of m below 2^12
 _TRIAL_PRIMES = (2, *compress(range(3, 1 << 12, 2), odd_prime_flags(1 << 12)))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -66,13 +89,8 @@ class FactoredInteger:
     factors: tuple[tuple[int, int], ...]
 
 
-def _mr_witness(n, a):
-    # returns True if a witnesses compositeness of n
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+def _mr_witness(n, a, d, s):
+    # True if a witnesses compositeness of the odd n, where n - 1 = d 2^s
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
@@ -84,20 +102,21 @@ def _mr_witness(n, a):
 
 
 def is_probable_prime(n: int) -> bool:
-    """Primality test: deterministic below ~3.3e24, else 64 Miller-Rabin rounds."""
+    """Primality test: deterministic below psi_13 ~ 3.3e24, with the first t
+    prime witnesses for n < psi_t; else 64 seeded Miller-Rabin rounds."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < _MR_DETERMINISTIC_BOUND:
-        return not any(_mr_witness(n, a) for a in _MR_WITNESSES)
-    rng = random.Random(n)
-    return not any(
-        _mr_witness(n, rng.randrange(2, n - 1)) for _ in range(_MR_RANDOM_ROUNDS)
-    )
+    if math.gcd(n, _MR_WITNESS_PRODUCT) > 1:
+        return n in _MR_WITNESSES
+    t = bisect_right(_MR_PSI, n) + 1  # the least t with n < psi_t
+    if t <= len(_MR_PSI):
+        witnesses = _MR_WITNESSES[:t]
+    else:
+        rng = random.Random(n)
+        witnesses = (rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # the power of 2 in n - 1
+    d = (n - 1) >> s
+    return not any(_mr_witness(n, a, d, s) for a in witnesses)
 
 
 def _brent_rho(n, rng):
@@ -161,10 +180,13 @@ def _perfect_power(v):
 
 
 def factorize(n: int) -> FactoredInteger:
-    """Exact factorization: trial division by the primes below 2^12, then
-    Miller-Rabin, exact roots and Brent-Pollard rho on the cofactor.
+    """Exact factorization: the primes below 2^12 by one gcd with their
+    product, then Miller-Rabin, exact roots and Brent-Pollard rho on the
+    cofactor.
 
-    A composite cofactor that is a perfect power a^d is split by its d-th
+    g = gcd(|n|, _TRIAL_PRODUCT) is squarefree; trial division of g, not of
+    n, finds its primes, and strip_power takes each one's whole power out of
+    n.  A composite cofactor that is a perfect power a^d is split by its d-th
     root, and a goes on at d times its multiplicity; only a composite that
     is no perfect power goes to rho.  Raises GuardError when rho needs more
     than RHO_ITERATION_LIMIT steps for one factor, which happens only above
@@ -174,16 +196,19 @@ def factorize(n: int) -> FactoredInteger:
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
+    g = math.gcd(m, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-        if p * p > m:
-            if m > 1:  # no prime factor up to its square root
-                counts[m] = 1
+        if p * p > g:
             break
-    else:  # m > 4093^2 and has no prime factor below 2^12
-        rng = random.Random(m)
+        if g % p == 0:
+            g //= p
+            counts[p], m = strip_power(m, p)
+    if g > 1:  # no prime of g up to its square root
+        counts[g], m = strip_power(m, g)
+    if 1 < m < 4099 * 4099:  # no prime factor below 4099, the least prime > 2^12
+        counts[m] = 1
+    elif m > 1:
+        rng = None  # seeded by the cofactor on rho's first call
         stack = [(m, 1)]  # (value, multiplicity)
         while stack:
             v, e = stack.pop()
@@ -194,6 +219,7 @@ def factorize(n: int) -> FactoredInteger:
             if root is not None:
                 stack.append((root[0], e * root[1]))
                 continue
+            rng = rng or random.Random(m)
             g = _brent_rho(v, rng)
             stack.append((g, e))
             stack.append((v // g, e))

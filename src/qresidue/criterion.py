@@ -19,12 +19,12 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import count, islice, product
-from math import prod
+from itertools import compress, islice, product
+from math import log, prod
 from operator import mul
 
 from . import fqlinalg
-from .arith import integer_qth_root, is_probable_prime
+from .arith import integer_qth_root, odd_prime_flags
 from .covering import POINT_ENUMERATION_LIMIT, CoveringResult, GuardError, covers
 from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile, check_q,
                        hyperplanes_of)
@@ -173,8 +173,14 @@ def exponent_twist(qinput: QInput, a) -> QInput:
 @cache
 def first_odd_primes(q, k):
     """The first k odd primes other than q: the support primes of
-    `synthesize` fixtures."""
-    return tuple(islice((p for p in count(3, 2) if p != q and is_probable_prime(p)), k))
+    `synthesize` fixtures.
+
+    They lie among the first k + 1 odd primes, p_2 .. p_(k+2), and Rosser's
+    bound p_n < n (ln n + ln ln n) for n >= 6 bounds the sieve."""
+    n = max(k + 2, 6)
+    bound = int(n * (log(n) + log(log(n)))) + 1
+    odd_primes = compress(range(3, bound + 1, 2), odd_prime_flags(bound))
+    return tuple(islice((p for p in odd_primes if p != q), k))
 
 
 # --- covering-vs-oracle agreement sweeps -----------------------------------

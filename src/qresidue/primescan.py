@@ -44,8 +44,8 @@ from .profiles import QInput, piece_exponents
 # bound / 2 flags at once.  On a 2-vCPU VM with Python 3.11, at 10^7 and
 # q = 3, a census of the covering set {2, 3, 6, 12, 5, 7} (the Euler loop runs
 # at every split prime) takes 1.0-1.6 s and a scan of it 1.1-1.6 s, peaking at
-# 22 MB RSS; a census of {2} takes 0.7-1.1 s and peaks at 30 MB, as it keeps
-# its 221,607 failing primes.
+# 22 MB RSS; a census of {2} takes 0.7-1.1 s and peaks at 22 MB too, as it
+# counts its 221,607 failing primes and keeps only the first 25.
 SCAN_BOUND_LIMIT = 10**7
 _FAILING_LIST_CAP = 25
 
@@ -213,21 +213,23 @@ def census(B, q, bound) -> DensityReport:
     excluded = _excluded(B, q, bound)
     flags = odd_prime_flags(bound)
     primes = 1 + flags.count(1)  # 2, since bound >= 100, and the odd primes
-    split = 0
-    failing = []
+    split = failing_count = 0
+    failing = []  # the first _FAILING_LIST_CAP failing primes
     for p in _split_primes(flags, q, prod(B)):
         split += 1
         if plan is not None and _fails(plan, p, q):
-            failing.append(p)
+            failing_count += 1
+            if len(failing) < _FAILING_LIST_CAP:
+                failing.append(p)
     checked = primes - excluded
-    empirical = Fraction(len(failing), checked) if checked else Fraction(0)
+    empirical = Fraction(failing_count, checked) if checked else Fraction(0)
     return DensityReport(
         bound=bound,
         primes_checked=checked,
         excluded_primes=excluded,
         split_primes=split,
-        failing_count=len(failing),
-        failing_primes=tuple(failing[:_FAILING_LIST_CAP]),
+        failing_count=failing_count,
+        failing_primes=tuple(failing),
         empirical_density=empirical,
         predicted_density=predicted,
     )

@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from qresidue import arith
 from qresidue.arith import (
+    _MR_PSI,
+    _MR_WITNESSES,
+    _TRIAL_PRIMES,
     FactoredInteger,
     _brent_rho,
+    _mr_witness,
     coprime_base,
     factorize,
     integer_qth_root,
     is_probable_prime,
+    odd_prime_flags,
     strip_power,
 )
 
@@ -95,6 +100,36 @@ def test_is_probable_prime_large():
     assert not is_probable_prime(2**89 + 1)
 
 
+def test_is_probable_prime_reports_every_psi_composite():
+    # psi_t passes the first t witnesses, so it needs witness t + 1
+    # (psi_12 passed all twelve that were once used below 3.3e24)
+    for t, psi in enumerate(_MR_PSI, 1):
+        s = ((psi - 1) & (1 - psi)).bit_length() - 1
+        d = (psi - 1) >> s
+        assert psi - 1 == d * 2**s and d % 2 == 1
+        assert not any(_mr_witness(psi, a, d, s) for a in _MR_WITNESSES[:t]), t
+        assert not is_probable_prime(psi), t
+    assert not is_probable_prime(318665857834031151167461)
+
+
+def test_factorize_splits_every_psi():
+    factors = {psi: factorize(psi).factors for psi in set(_MR_PSI)}
+    for psi, f in factors.items():
+        assert prod(p**e for p, e in f) == psi
+        assert len(f) > 1 and all(is_probable_prime(p) for p, _ in f)
+    assert factors[318665857834031151167461] == ((399165290221, 1), (798330580441, 1))
+
+
+def test_is_probable_prime_matches_the_sieve():
+    # the sieve is no Miller-Rabin; the range crosses psi_1 and psi_2, where
+    # the number of witnesses changes
+    n = 2 * 10**6
+    assert _MR_PSI[1] < n
+    assert bytearray(map(is_probable_prime, range(3, n, 2))) == odd_prime_flags(n - 1)
+    assert [m for m in range(3) if is_probable_prime(m)] == [2]
+    assert not any(map(is_probable_prime, range(4, n, 2)))
+
+
 def test_factorize_examples():
     f = factorize(24)
     assert (f.sign, f.factors) == (1, ((2, 3), (3, 1)))
@@ -139,6 +174,19 @@ def test_factorize_matches_trial_division_reference():
         ns += elements
     for n in ns:
         assert factorize(n) == reference_factorize(n), n
+
+
+def test_factorize_small_primes_by_gcd_match_the_reference():
+    # the gcd with the product of the trial primes, at its edges
+    rng = random.Random(61)
+    trial = prod(_TRIAL_PRIMES)
+    big = random_prime(rng, 10**6, 10**9)
+    below = next(p for p in range(4099**2 - 2, 0, -2) if is_probable_prime(p))
+    ns = [trial, trial**2, -trial, 2 * big, 3 * big, 4093 * big, 4093 * 4099, below, 4099**2]
+    for n in ns:
+        assert factorize(n) == reference_factorize(n), n
+    assert factorize(trial).factors == tuple((p, 1) for p in _TRIAL_PRIMES)
+    assert factorize(below).factors == ((below, 1),)
 
 
 P = 10**19 + 51  # a prime far beyond the rho budget

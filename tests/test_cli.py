@@ -44,6 +44,13 @@ def test_decide_no(capsys):
     assert env["result"]["uncovered_witness"] == [1, 1]
 
 
+def test_decide_splits_a_strong_pseudoprime_to_twelve_bases(capsys):
+    # psi_12 passes Miller-Rabin to the first twelve prime bases
+    code, env, _ = run_json(capsys, "decide", "--q", "3", "--set", "318665857834031151167461,2")
+    assert code == 1 and env["result"]["verdict"] == "no"
+    assert env["result"]["profile"]["support_primes"] == [2, 399165290221, 798330580441]
+
+
 def test_decide_trivial(capsys):
     code, env, _ = run_json(capsys, "decide", "--q", "3", "--set", "5,-27")
     assert code == 0

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 from math import prod
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qresidue import criterion, fqlinalg
+from qresidue.arith import is_probable_prime
 from qresidue.cli import main
 from qresidue.covering import GuardError, covers, synthesize_covering, uncovered_count
 from qresidue.criterion import (
@@ -136,6 +137,14 @@ def test_exponent_twist_examples():
     assert exponent_twist(CUBE_YES, (1, 1, 1, 1)).elements == CUBE_YES.elements
     with pytest.raises(ValueError):
         exponent_twist(CUBE_YES, (1, 1, 1, 0))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 7919])
+def test_first_odd_primes_matches_the_primality_test(q):
+    # 7919 is the 999th odd prime: at k = 1000 the sieve must reach the 1001st
+    expected = tuple(islice((p for p in count(3, 2) if p != q and is_probable_prime(p)), 1000))
+    for k in range(1001):
+        assert first_odd_primes(q, k) == expected[:k], k
 
 
 def test_decide_invariant_under_twists():
