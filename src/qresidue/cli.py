@@ -322,7 +322,9 @@ def _check_count(flag, count, limit):
 # BrokenPipeError.
 def _render_text(envelope):
     """The text form of an envelope: its command, then one "key: value" line
-    per entry of its result, a nested dict or list one level deeper."""
+    per entry of its result, a nested dict or list one level deeper.  As in
+    YAML, "- " opens each item of a list, and the other lines of a nested
+    item sit two spaces deeper."""
     out = [f"command: {envelope['command']}", "\n"]
 
     def emit(obj, pad):
@@ -338,8 +340,10 @@ def _render_text(envelope):
                     out.extend((f"{pad}{key}: {val}", "\n"))
         else:
             for item in obj:
-                if isinstance(item, (dict, list)) and not _is_flat(item):
-                    emit(item, pad)
+                if isinstance(item, (dict, list)) and item and not _is_flat(item):
+                    start = len(out)
+                    emit(item, pad + "  ")
+                    out[start] = f"{pad}- {out[start][len(pad) + 2:]}"
                 else:
                     out.extend((f"{pad}- {item}", "\n"))
 

@@ -14,10 +14,11 @@ space, which the pieces span as the support primes do.
 Primes come from one sieve over the odd numbers up to the bound,
 arith.odd_prime_flags: a bytearray in which flag i stands for 3 + 2i.  That
 is 1 mod q exactly when i = -1 mod q, so the split primes are every q-th
-flag from i = q - 1 on: the scan reads only that strided slice, and drops
-the split primes that divide an element.  The census counts all primes with
-bytearray.count, and its excluded primes as q plus the primes up to max |b|
-that divide an element.  No other prime takes a Python step.
+flag from i = q - 1 on.  One walk over that strided slice yields the failing
+split primes that divide no element, to scan and census alike; the census
+counts all primes and the split ones with bytearray.count, less q and the
+primes up to max |b| that divide an element.  No other prime takes a Python
+step, and a set that cannot fail walks none.
 
 At a split prime the Euler value b^((p-1)/q) mod p is a q-th root of unity,
 and it is multiplicative in b.  So the scan runs Euler's criterion only on a
@@ -31,7 +32,7 @@ covering engine.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from math import prod
 from operator import itemgetter
 
@@ -170,33 +171,33 @@ def _fails(plan, p, q):
     return True
 
 
+def _failing_primes(B, plan, q, flags):
+    """The split primes of odd_prime_flags' flags, outside the excluded set,
+    at which no element of B is a residue, in order; none if plan is None."""
+    if plan is not None:
+        yield from (p for p in _split_primes(flags, q, prod(B)) if _fails(plan, p, q))
+
+
 def find_counterexample_prime(B, q, bound) -> int | None:
     """First prime <= bound (outside the excluded set) where no element is a residue."""
     _check_bound(bound, 2)
     B, vectors = _split(B, q)
     plan = _symbol_plan(B, vectors, q)
-    if plan is None:
+    if plan is None:  # no prime fails, so none is sieved
         return None
-    for p in _split_primes(odd_prime_flags(bound), q, prod(B)):
-        if _fails(plan, p, q):
-            return p
-    return None
+    return next(_failing_primes(B, plan, q, odd_prime_flags(bound)), None)
 
 
 def _excluded(B, q, bound):
-    """Number of excluded primes <= bound: q, and the primes dividing an
-    element.  A prime that divides b != 0 is at most |b|, so only the primes
-    up to min(bound, max |b|) are tried."""
+    """The primes <= bound other than q that divide an element: those up to
+    min(bound, max |b|), as a prime that divides b != 0 is at most |b|."""
     product = prod(B)
     reach = min(bound, max(map(abs, B)))
-    divisors = sum(1 for p in primes_up_to(reach) if p != q and product % p == 0)
-    return divisors + (q <= bound)
+    return [p for p in primes_up_to(reach) if p != q and product % p == 0]
 
 
 def _density(vectors, q):
-    """U / (q^k (q-1)) over the piece vectors, 0 if one of them is zero."""
-    if not all(any(v) for v in vectors):
-        return Fraction(0)
+    """U / (q^k (q-1)) over the piece vectors, none of them zero."""
     k = len(vectors[0])
     U = uncovered_count(set(vectors), k, q)
     return Fraction(U, q**k * (q - 1))
@@ -207,20 +208,17 @@ def census(B, q, bound) -> DensityReport:
     density vs the prediction."""
     _check_bound(bound, 100)
     B, vectors = _split(B, q)
-    # first, so that a GuardError comes before the scan, not after it
-    predicted = _density(vectors, q)
     plan = _symbol_plan(B, vectors, q)
-    excluded = _excluded(B, q, bound)
+    # first, so that a GuardError comes before the scan, not after it
+    predicted = Fraction(0) if plan is None else _density(vectors, q)
+    divisors = _excluded(B, q, bound)
+    excluded = len(divisors) + (q <= bound)
     flags = odd_prime_flags(bound)
     primes = 1 + flags.count(1)  # 2, since bound >= 100, and the odd primes
-    split = failing_count = 0
-    failing = []  # the first _FAILING_LIST_CAP failing primes
-    for p in _split_primes(flags, q, prod(B)):
-        split += 1
-        if plan is not None and _fails(plan, p, q):
-            failing_count += 1
-            if len(failing) < _FAILING_LIST_CAP:
-                failing.append(p)
+    split = flags[q - 1 :: q].count(1) - sum(p % q == 1 for p in divisors)
+    failing_primes = _failing_primes(B, plan, q, flags)
+    failing = tuple(islice(failing_primes, _FAILING_LIST_CAP))
+    failing_count = len(failing) + sum(1 for _ in failing_primes)
     checked = primes - excluded
     empirical = Fraction(failing_count, checked) if checked else Fraction(0)
     return DensityReport(
@@ -229,7 +227,7 @@ def census(B, q, bound) -> DensityReport:
         excluded_primes=excluded,
         split_primes=split,
         failing_count=failing_count,
-        failing_primes=tuple(failing),
+        failing_primes=failing,
         empirical_density=empirical,
         predicted_density=predicted,
     )

@@ -417,6 +417,21 @@ def test_text_output_default(capsys):
     assert "uncovered_witness: [1, 1]" in out
 
 
+def test_text_output_opens_each_list_item(capsys):
+    # as in YAML, "- " opens each item of a list, so the items of a list of
+    # dicts, or of lists, do not run together
+    code, out, _ = run(capsys, "scan", "--q", "3", "--set", "7,13", "--bound", "100")
+    assert code == 1
+    assert out == ("command: scan\ncounterexample_prime: 31\nsplits: True\nper_element:\n"
+                   "  - element: 7\n    is_residue: False\n"
+                   "  - element: 13\n    is_residue: False\n")
+    envelope = {"command": "oracle-check",
+                "result": {"disagreements": 2, "disagreeing_columns": [[[1, 0], [0, 1]], [[1, 1]]]}}
+    assert "".join(cli._render_text(envelope)) == (
+        "command: oracle-check\ndisagreements: 2\ndisagreeing_columns:\n"
+        "  - - [1, 0]\n    - [0, 1]\n  - - [1, 1]\n")
+
+
 def _reference_covering(covering):
     # the assignment as a dict with one "x1,...,xk" key per nonzero point
     digits = [str(x) for x in range(covering.q)]

@@ -351,6 +351,18 @@ def test_census_needs_no_factoring(monkeypatch):
     assert rep == DensityReport(**fields, predicted_density=Fraction(2, 9))
 
 
+def test_a_set_that_cannot_fail_walks_no_split_prime(monkeypatch):
+    # 8 = 2^3 and -8 * 7^3 are +-(a cube): the census counts its split primes
+    # on the sieve and walks none of them
+    def fail(*args):
+        raise AssertionError("a split prime was walked")
+
+    monkeypatch.setattr(primescan, "_split_primes", fail)
+    for B in ([8, 5], [5, -8 * 7**3, 7]):
+        fields, _ = _reference_scan(B, 3, 10**5)
+        assert census(B, 3, 10**5) == DensityReport(**fields, predicted_density=Fraction(0))
+
+
 _PRIMES_BELOW_800 = _plain_sieve(800)
 
 
