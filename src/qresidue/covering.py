@@ -4,7 +4,13 @@ A hyperplane is given by its normal, a tuple of k ints that is nonzero mod q;
 it is the subspace {x : normal . x = 0}.  Coverage is decided on bitmasks.
 The points of F_q^k are numbered in lexicographic order, first coordinate
 most significant, and point j is bit j of a Python int.  zero_mask() builds
-the point set of one hyperplane as such a mask.  A family covers F_q^k iff
+the point set of one hyperplane as such a mask, from the last coordinate
+forwards, at a cost that follows the normal's nonzero coordinates: the
+coordinates after the last nonzero one fill one block of ones, a free
+coordinate lays q copies of the pattern so far side by side, and a nonzero
+one gathers each class of the suffix as one C-level sum of q shifted
+classes.  Scalar multiples of a normal have its hyperplane, so
+CoveringResult builds one mask per projective class.  A family covers F_q^k iff
 the OR of its masks has all q^k bits set; its lexicographically first gap is
 the lowest zero bit of the OR, and the number of uncovered points is q^k
 minus the popcount.  The Yes assignment lists, in the same order, the index
@@ -16,40 +22,76 @@ text its decimal ones.
 
 import sys
 from functools import cached_property, reduce
-from operator import or_
+from operator import lshift, or_
 
 from .arith import GuardError
 
 POINT_ENUMERATION_LIMIT = 10**8
-# Bound on l q^(k+1), the bit work of building l zero masks at k >= 2 (about
-# q^2 shifts per coordinate).  On a 2-vCPU VM with Python 3.11, 34 masks at
-# q = 3, k = 16 (4.4e9) take 0.34 s and 221 MB, and 308 masks at q = 307,
-# k = 2 (8.9e9) take 2.3 s.
+# Bound on l q^(k+1), the bit work of building l zero masks at k >= 2.  It
+# bounds dense normals: the q classes at the second nonzero coordinate and
+# class 0 at the first are each a sum of q shifted masks.  A normal with at
+# most one nonzero coordinate before its last one sums class 0 alone, q
+# shifted blocks making its q^k bits: about half the bit work.  On a 2-vCPU
+# VM with Python 3.11.7, 34 dense masks at q = 3, k = 16 (4.4e9) take
+# 0.6-0.9 s and 231 MB, and 308 pencil masks at q = 307, k = 2 (8.9e9, over
+# the limit) take 0.3-0.5 s.
 MASK_WORK_LIMIT = 5 * 10**9
+
+
+def _repeat(masks, width, q, times):
+    """Prepend `times` free coordinates to each mask of `width` bits: each
+    coordinate lays q copies side by side.  Returns the masks and their width."""
+    for _ in range(times):
+        offsets = range(0, q * width, width)
+        masks = [sum(map(lshift, [m] * q, offsets)) for m in masks]
+        width *= q
+    return masks, width
 
 
 def zero_mask(normal, q) -> int:
     """Bitmask of {x in F_q^k : normal . x = 0}, where k = len(normal) >= 1.
 
-    Bit j stands for the j-th point of product(range(q), repeat=k).  The mask
-    is built from the last coordinate forwards.  classes[r] holds the suffixes
-    u (the trailing coordinates seen so far, q^s of them) with
-    (suffix of normal) . u = r.  Prepending a coordinate with coefficient c
-    lays q of these masks side by side: block x, for the new coordinate = x,
-    is the class r - c*x.  The first coordinate needs only the class r = 0.
-    At k = 1 the hyperplane is the origin alone.
+    Bit j stands for the j-th point of product(range(q), repeat=k).  A normal
+    that is zero mod q is a ValueError.  The mask is built from the last
+    coordinate forwards, and only a nonzero coefficient costs a gather.
+    classes[r] holds the suffixes u (the trailing coordinates seen so far) with
+    (suffix of normal) . u = r.
+
+    Let t be the last coordinate with c_t != 0.  The coordinates after it are
+    free, so class 0 of the suffix from t on is one block of q^(k-1-t) ones,
+    at x_t = 0.  Class r is the same block at x_t = r / c_t, and it stays
+    class 0 shifted by (r / c_t) blocks while free coordinates are prepended,
+    each of which only lays q copies of the mask side by side.  Prepending a
+    further coefficient c makes block x of class r the old class r - c*x;
+    with m = -c*x, that is class r + m at block x = -m / c.  So class r is
+    one C-level sum over the q classes r, r+1, ..., r-1 (a slice of the list
+    taken twice), each shifted by its block.  A free coordinate between two
+    nonzero ones repeats each class; the first nonzero coordinate needs only
+    class 0, and the free coordinates before it repeat the final mask.  At
+    k = 1 the hyperplane is the origin alone.
     """
-    if len(normal) == 1:
+    if len(normal) == 1 and normal[0] % q:
         return 1
-    classes = [1] + [0] * (q - 1)
-    size = 1
-    for c in reversed(normal[1:]):
-        classes = [
-            sum(classes[(r - c * x) % q] << (x * size) for x in range(q))
-            for r in range(q)
-        ]
-        size *= q
-    return sum(classes[-normal[0] * x % q] << (x * size) for x in range(q))
+    nonzero = [i for i, c in enumerate(normal) if c % q]
+    if not nonzero:
+        raise ValueError(f"normal {tuple(normal)} is zero mod q = {q}")
+    last = nonzero.pop()
+    block = q ** (len(normal) - 1 - last)
+    classes, width = [(1 << block) - 1], block * q
+    start = last  # the coordinate the classes begin at
+    for i in reversed(nonzero):
+        classes, width = _repeat(classes, width, q, start - 1 - i)
+        if len(classes) == 1:  # class r is class 0 at x_last = r / c_last
+            inverse = pow(normal[last], -1, q)
+            classes = [classes[0] << (r * inverse % q * block) for r in range(q)]
+        inverse = pow(-normal[i], -1, q)
+        offsets = [m * inverse % q * width for m in range(q)]
+        twice = classes + classes
+        needed = range(q) if i > nonzero[0] else range(1)
+        classes = [sum(map(lshift, twice[r : r + q], offsets)) for r in needed]
+        width *= q
+        start = i
+    return _repeat(classes, width, q, start)[0][0]
 
 
 def _point(j, k, q) -> tuple[int, ...]:
@@ -70,20 +112,37 @@ class CoveringResult:
     not.  Otherwise it is a read-only memoryview of q^k - 1 normal indices,
     one per nonzero point in lexicographic order: the first normal (in input
     order) whose hyperplane contains the point.  Both are derived on first
-    use from the zero masks, which are built at most once: the assignment
+    use from the zero masks, which are built at most once, one per
+    projective class of the normals (see `projective_classes`): the assignment
     through `label_columns`, which the CLI's text of it reads too.
     """
 
     def __init__(self, normals, k, q):
         self.normals = tuple(normals)
         self.k, self.q = k, q
-        # Each hyperplane holds q^(k-1) points, the origin among them, so q of
-        # them leave at least q - 1 points uncovered.
-        self.covered = len(self.normals) > q and self.union == (1 << q**k) - 1
+        # Each hyperplane holds q^(k-1) points, the origin among them, so the
+        # hyperplanes of q classes leave at least q - 1 points uncovered.
+        self.covered = (len(self.normals) > q and len(set(self.projective_classes)) > q
+                        and self.union == (1 << q**k) - 1)
+
+    @cached_property
+    def projective_classes(self) -> list[tuple[int, ...]]:
+        """Each normal's projective class: its multiple whose first nonzero
+        entry is 1.  Normals of one class have one hyperplane."""
+        q, classes = self.q, []
+        for n in self.normals:
+            for lead in n:
+                if lead % q:
+                    break
+            scale = pow(lead, -1, q)
+            classes.append(tuple([c * scale % q for c in n]))
+        return classes
 
     @cached_property
     def masks(self) -> list[int]:
-        return [zero_mask(n, self.q) for n in self.normals]
+        # one zero mask per class: a later multiple reuses it, so owns no point
+        built = {c: zero_mask(c, self.q) for c in dict.fromkeys(self.projective_classes)}
+        return [built[c] for c in self.projective_classes]
 
     @cached_property
     def union(self) -> int:

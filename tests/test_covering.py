@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -191,6 +192,12 @@ def test_uncovered_count():
     assert uncovered_count([(1,)], 1, 3) == 2
 
 
+def enumerated_mask(normal, q):
+    """zero_mask by plain enumeration: bit j for the j-th point of the hyperplane."""
+    points = product(range(q), repeat=len(normal))
+    return sum(1 << j for j, v in enumerate(points) if contains(normal, v, q))
+
+
 def test_zero_mask_matches_enumeration():
     rng = random.Random(3)
     for _ in range(300):
@@ -199,10 +206,47 @@ def test_zero_mask_matches_enumeration():
         n = tuple(rng.randrange(q) for _ in range(k))
         if not any(n):
             continue
-        expected = sum(
-            1 << j for j, v in enumerate(product(range(q), repeat=k)) if contains(n, v, q)
-        )
-        assert zero_mask(n, q) == expected
+        assert zero_mask(n, q) == enumerated_mask(n, q)
+    # every nonzero normal of a few small spaces: each pattern of zero and
+    # nonzero coefficients, with every coefficient
+    for q, k_max in [(3, 5), (5, 3), (7, 3)]:
+        for k in range(1, k_max + 1):
+            for n in product(range(q), repeat=k):
+                if any(n):
+                    assert zero_mask(n, q) == enumerated_mask(n, q)
+    # sparse normals, as real sets give them, with entries below 0 or at least q
+    rng = random.Random(29)
+    for _ in range(200):
+        q, k = rng.choice([(3, 6), (5, 5), (7, 4)])
+        k = rng.randint(1, k)
+        n = tuple(rng.randrange(-2 * q, 2 * q) if rng.random() < 0.5 else 0 for _ in range(k))
+        if any(x % q for x in n):
+            assert zero_mask(n, q) == enumerated_mask(n, q)
+
+
+def test_zero_mask_invariances():
+    rng = random.Random(31)
+    for _ in range(200):
+        q = rng.choice([3, 5, 7])
+        k = rng.randint(1, 4)
+        n = tuple(rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(k))
+        if not any(n):
+            continue
+        mask = zero_mask(n, q)
+        # a scalar multiple has the same hyperplane
+        for lam in range(1, q):
+            assert zero_mask(tuple(lam * x for x in n), q) == mask
+        # a free last coordinate turns each point into q points in a row
+        spread = sum(((1 << q) - 1) << (j * q) for j in range(q**k) if mask >> j & 1)
+        assert zero_mask(n + (0,), q) == spread
+        # a free first coordinate lays q copies of the mask side by side
+        assert zero_mask((0,) + n, q) == sum(mask << (x * q**k) for x in range(q))
+
+
+@pytest.mark.parametrize("normal", [(0,), (3,), (-6,), (0, 0), (3, 0, -3), (0, 6, 0, 0)])
+def test_zero_mask_rejects_a_normal_zero_mod_q(normal):
+    with pytest.raises(ValueError, match=re.escape(f"normal {normal} is zero mod q = 3")):
+        zero_mask(normal, 3)
 
 
 def _random_family(q, k, rng):
@@ -244,6 +288,52 @@ def test_bitmask_engine_matches_enumeration(q, k_max):
         assert uncovered_count(normals, k, q) == reference_uncovered_count(normals, k, q)
         seen.add(covered)
     assert seen == {True, False}
+
+
+def projective_class(normal, q):
+    """The multiple of normal whose first nonzero entry is 1 mod q."""
+    inverse = pow(next(x for x in normal if x % q), -1, q)
+    return tuple(x * inverse % q for x in normal)
+
+
+def test_scalar_multiples_share_one_mask(monkeypatch):
+    built = []
+
+    def counted(normal, q):
+        built.append(normal)
+        return zero_mask(normal, q)
+
+    monkeypatch.setattr(covering, "zero_mask", counted)
+
+    def check(normals, k, q):
+        built.clear()
+        covered, witness, assignment = reference_covers(normals, k, q)
+        result = covers(normals, k, q)
+        assert (result.covered, result.witness) == (covered, witness)
+        if covered:
+            assert list(result.assignment) == list(assignment.values())
+        assert uncovered_count(normals, k, q) == reference_uncovered_count(normals, k, q)
+        # one mask per projective class and call, the multiples reuse it
+        assert len(built) == 2 * len({projective_class(n, q) for n in normals})
+
+    # 2 and 4 at q = 3 have exponent vectors (1, 0) and (2, 0): one hyperplane
+    check([(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)], 2, 3)
+    check([(2, 0), (1, 0), (0, 1), (1, 1), (2, 1), (4, 2), (0, -1)], 2, 3)
+    # five normals but three classes: no covering, decided before any mask
+    normals = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1)]
+    built.clear()
+    assert not covers(normals, 2, 3).covered and built == []
+    check(normals, 2, 3)
+    rng = random.Random(37)
+    for _ in range(150):
+        q = rng.choice([3, 5, 7])
+        k = rng.randint(1, 3)
+        normals = _random_family(q, k, rng)
+        for _ in range(rng.randint(1, 4) if normals else 0):
+            lam = rng.choice([x for x in range(-q, 2 * q) if x % q not in (0, 1)])
+            multiple = tuple(lam * x for x in rng.choice(normals))
+            normals.insert(rng.randint(0, len(normals)), multiple)
+        check(normals, k, q)
 
 
 @pytest.mark.parametrize("copies", [300, 70_000])
