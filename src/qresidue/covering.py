@@ -13,11 +13,11 @@ classes.  Scalar multiples of a normal have its hyperplane, so
 CoveringResult builds one mask per projective class.  A family covers F_q^k iff
 the OR of its masks has all q^k bits set; its lexicographically first gap is
 the lowest zero bit of the OR, and the number of uncovered points is q^k
-minus the popcount.  The Yes assignment lists, in the same order, the index
-of the first normal whose hyperplane holds each nonzero point.  Only
-CoveringResult.label_columns reads it off the masks, one byte column per
-byte of a label: the library's index array takes 4-byte labels, the CLI's
-text its decimal ones.
+minus the popcount (uncovered_count ORs one mask in at a time).  The Yes
+assignment lists, in the same order, the index of the first normal whose
+hyperplane holds each nonzero point.  Only CoveringResult.label_columns
+reads it off the masks, one byte column per byte of a label: the library's
+index array takes 4-byte labels, the CLI's text its decimal ones.
 """
 
 import sys
@@ -33,8 +33,9 @@ POINT_ENUMERATION_LIMIT = 10**8
 # most one nonzero coordinate before its last one sums class 0 alone, q
 # shifted blocks making its q^k bits: about half the bit work.  On a 2-vCPU
 # VM with Python 3.11.7, 34 dense masks at q = 3, k = 16 (4.4e9) take
-# 0.6-0.9 s and 231 MB, and 308 pencil masks at q = 307, k = 2 (8.9e9, over
-# the limit) take 0.3-0.5 s.
+# 0.6-0.9 s and 231 MB in covers, 0.8-1.3 s and 49 MB in uncovered_count
+# (one mask at a time; the allocator returns and refaults freed pages), and
+# 308 pencil masks at q = 307, k = 2 (8.9e9, over the limit) take 0.3-0.5 s.
 MASK_WORK_LIMIT = 5 * 10**9
 
 
@@ -94,6 +95,16 @@ def zero_mask(normal, q) -> int:
     return _repeat(classes, width, q, start)[0][0]
 
 
+def projective_class(normal, q) -> tuple[int, ...]:
+    """The multiple of a normal, nonzero mod q, whose first nonzero entry is
+    1.  Normals of one class have one hyperplane."""
+    for lead in normal:
+        if lead % q:
+            break
+    scale = pow(lead, -1, q)
+    return tuple([c * scale % q for c in normal])
+
+
 def _point(j, k, q) -> tuple[int, ...]:
     """The j-th point of F_q^k in lexicographic order."""
     digits = []
@@ -127,16 +138,8 @@ class CoveringResult:
 
     @cached_property
     def projective_classes(self) -> list[tuple[int, ...]]:
-        """Each normal's projective class: its multiple whose first nonzero
-        entry is 1.  Normals of one class have one hyperplane."""
-        q, classes = self.q, []
-        for n in self.normals:
-            for lead in n:
-                if lead % q:
-                    break
-            scale = pow(lead, -1, q)
-            classes.append(tuple([c * scale % q for c in n]))
-        return classes
+        """Each normal's projective class (see `projective_class`)."""
+        return [projective_class(n, self.q) for n in self.normals]
 
     @cached_property
     def masks(self) -> list[int]:
@@ -193,11 +196,17 @@ class CoveringResult:
 
 
 def check_family(normals, k, q):
-    """Normals of length k, nonzero mod q, within the point and mask budgets."""
+    """Normals of length k, nonzero mod q, within the point and mask budgets.
+
+    A plain loop, not a generator per normal: the oracle sweep checks
+    thousands of families of a few short normals."""
     for n in normals:
         if len(n) != k:
             raise ValueError(f"normal {n} does not have length k = {k}")
-        if not any(x % q for x in n):
+        for x in n:
+            if x % q:
+                break
+        else:
             raise ValueError(f"normal {n} is zero mod q = {q}")
     if q**k > POINT_ENUMERATION_LIMIT:
         raise GuardError(f"q^k = {q}^{k} exceeds enumeration limit {POINT_ENUMERATION_LIMIT}")
@@ -219,9 +228,16 @@ def covers(normals, k, q) -> CoveringResult:
 
 
 def uncovered_count(normals, k, q) -> int:
-    """Number of vectors of F_q^k lying on none of the hyperplanes."""
+    """Number of vectors of F_q^k lying on none of the hyperplanes.
+
+    Only the union is needed, so each class's mask is ORed in as it is built
+    and dropped: at most the union and one mask are alive at a time, where
+    CoveringResult keeps every mask for its assignment."""
     check_family(normals, k, q)
-    return q**k - CoveringResult(normals, k, q).union.bit_count()
+    union = 0
+    for c in dict.fromkeys(projective_class(n, q) for n in normals):
+        union |= zero_mask(c, q)
+    return q**k - union.bit_count()
 
 
 def synthesize_covering(k, q) -> list[tuple[int, ...]]:

@@ -30,8 +30,8 @@ from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile
                        hyperplanes_of)
 
 # Bound on the Skalba checks, i.e. twist vectors c tried.  On a 2-vCPU VM
-# with Python 3.11, skalba_oracle on a covering profile at q = 3, k = 3,
-# l = 23 (2^23 = 8.4e6 twists, all of them passing) takes 33 s and 15 MB.
+# with Python 3.11.7, skalba_oracle on a covering profile at q = 3, k = 3,
+# l = 23 (2^23 = 8.4e6 twists, all of them passing) takes 20 s and 15 MB.
 ORACLE_ENUMERATION_LIMIT = 10**7
 ORACLE_INSTANCE_LIMIT = 10**6  # matrices in one oracle sweep
 
@@ -96,15 +96,24 @@ def skalba_condition_holds(M, q, c) -> bool:
     return any(sum(g) % q for g in fqlinalg.null_space_basis(twisted_matrix(M, q, c), q))
 
 
+@cache
+def _inverses(q):
+    """x^-1 mod q at index x, for x in [1, q-1]; index 0 is unused."""
+    return [0] + [pow(x, -1, q) for x in range(1, q)]
+
+
 def _twist_test(M, q):
     """For twists c with entries in [1, q-1]: the first basis vector g of
     Null(M) with sum_j g_j c_j^-1 != 0 mod q, or None if c fails."""
     basis = fqlinalg.null_space_basis(M, q)
-    inverse = [0] + [pow(x, -1, q) for x in range(1, q)]
+    inverse = _inverses(q)
 
     def passing(c):
         u = [inverse[cj] for cj in c]
-        return next((g for g in basis if sum(map(mul, g, u)) % q), None)
+        for g in basis:
+            if sum(map(mul, g, u)) % q:
+                return g
+        return None
 
     return passing
 
@@ -116,10 +125,9 @@ def skalba_oracle(M, q) -> bool:
     Null(M) (see _twist_test), stopping at the first twist that fails.
     """
     l = len(M[0])
-    if (q - 1) ** l > ORACLE_ENUMERATION_LIMIT:
-        raise GuardError(
-            f"(q-1)^l = {(q - 1) ** l} exceeds oracle limit {ORACLE_ENUMERATION_LIMIT}"
-        )
+    twists = (q - 1) ** l
+    if twists > ORACLE_ENUMERATION_LIMIT:
+        raise GuardError(f"(q-1)^l = {twists} exceeds oracle limit {ORACLE_ENUMERATION_LIMIT}")
     return all(map(_twist_test(M, q), product(range(1, q), repeat=l)))
 
 
@@ -157,7 +165,8 @@ def counterexample_c(profile: ResidueProfile, d) -> tuple[int, ...]:
     if 0 in sums:
         raise ValueError("d is annihilated by some column; not an uncovered witness")
     c = tuple(pow(s, -1, q) for s in sums)
-    assert fqlinalg.mat_vec(zip(*twisted_matrix(profile.exponents, q, c)), d, q) == [1] * len(c)
+    if fqlinalg.mat_vec(zip(*twisted_matrix(profile.exponents, q, c)), d, q) != [1] * len(c):
+        raise RuntimeError(f"d^T M(c) != (1, ..., 1) for d = {tuple(d)}, c = {c}")
     return c
 
 

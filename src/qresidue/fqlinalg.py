@@ -1,12 +1,18 @@
 """Exact linear algebra over the prime field F_q: rref and null space.
 
 Matrices are lists of rows of ints; all arithmetic is reduced mod q after
-every operation.  q is assumed prime.
+every operation.  q is assumed prime.  The oracle sweep row-reduces one
+small matrix per instance, so rref does no work a row does not need: a
+pivot that is already 1 is not scaled, and a row with a zero in the pivot
+column is not rebuilt.  Each null-space vector is checked against Mx = 0,
+and a failed check is a RuntimeError, which python -O does not strip.
 """
+
+from operator import mul
 
 
 def mat_vec(rows, x, q):
-    return [sum(a * b for a, b in zip(row, x)) % q for row in rows]
+    return [sum(map(mul, row, x)) % q for row in rows]
 
 
 def rref(rows, q):
@@ -17,16 +23,22 @@ def rref(rows, q):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if R[i][c] != 0), None)
-        if pivot is None:
+        for i in range(r, nrows):
+            if R[i][c]:
+                break
+        else:
             continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = pow(R[r][c], -1, q)
-        R[r] = [x * inv % q for x in R[r]]
-        for i in range(nrows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [(a - f * b) % q for a, b in zip(R[i], R[r])]
+        pivot_row = R[i]
+        R[i] = R[r]
+        lead = pivot_row[c]
+        if lead != 1:
+            inv = pow(lead, -1, q)
+            pivot_row = [x * inv % q for x in pivot_row]
+        R[r] = pivot_row
+        for i, row in enumerate(R):
+            f = row[c]
+            if f and i != r:
+                R[i] = [(a - f * b) % q for a, b in zip(row, pivot_row)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -36,15 +48,18 @@ def rref(rows, q):
 
 def null_space_basis(rows, q):
     """Basis of {x : Mx = 0}; one vector per free column, verified by Mx = 0."""
-    R, rank, pivots = rref(rows, q)
+    R, _, pivots = rref(rows, q)
     ncols = len(rows[0]) if rows else 0
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [0] * ncols
         v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-R[i][f]) % q
-        assert all(x == 0 for x in mat_vec(rows, v, q))
+        for row, c in zip(R, pivots):
+            v[c] = -row[f] % q
+        if any(mat_vec(rows, v, q)):
+            raise RuntimeError(f"null-space vector {v} fails Mx = 0 mod {q}")
         basis.append(v)
     return basis

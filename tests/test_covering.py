@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qresidue import covering
 from qresidue.covering import (
     MASK_WORK_LIMIT,
+    CoveringResult,
     GuardError,
     covers,
     synthesize_covering,
@@ -385,3 +387,33 @@ def test_uncovered_count_matches_crapo_rota():
             for subset in combinations(normals, size)
         )
         assert uncovered_count(normals, k, q) == q ** (k - r) * total
+
+
+def test_uncovered_count_matches_the_union_of_all_masks():
+    # streaming the OR one class at a time gives the popcount of the full union
+    rng = random.Random(61)
+    for _ in range(300):
+        q = rng.choice([3, 5, 7])
+        k = rng.randint(1, 4 if q == 3 else 3)
+        drawn = (tuple(rng.randrange(-q, 2 * q) for _ in range(k))
+                 for _ in range(rng.randint(0, 2 * q + 2)))
+        normals = [n for n in drawn if any(x % q for x in n)]
+        normals += [tuple(2 * x for x in n) for n in normals[:2]]  # multiples share a class
+        expected = q**k - CoveringResult(normals, k, q).union.bit_count()
+        assert uncovered_count(normals, k, q) == expected, (normals, k, q)
+
+
+def test_uncovered_count_holds_one_mask_at_a_time():
+    # 34 dense normals at q = 3, k = 14: all 34 masks together take 20 MB;
+    # the union and one mask being built take a few masks' worth
+    rng = random.Random(5)
+    q, k = 3, 14
+    normals = [tuple(rng.randrange(1, q) for _ in range(k)) for _ in range(34)]
+    mask_bytes = q**k // 8
+    tracemalloc.start()
+    try:
+        assert uncovered_count(normals, k, q) == 28
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * mask_bytes, peak

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, count, islice, product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -409,6 +413,67 @@ def test_twist_test_matches_skalba_condition_holds(q):
                 assert sum(gj * pow(cj, -1, q) for gj, cj in zip(g, c)) % q
             seen[expected] += 1
     assert seen[True] > 0 and seen[False] > 0
+
+
+def _reference_twist_test(M, q):
+    """The first basis vector of Null(M) with sum_j g_j c_j^-1 != 0, each
+    inverse taken afresh: the order skalba_solve's certificates rely on."""
+    basis = fqlinalg.null_space_basis(M, q)
+    return lambda c: next(
+        (g for g in basis if sum(gj * pow(cj, -1, q) for gj, cj in zip(g, c)) % q), None)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_twist_test_returns_the_reference_first_vector(q):
+    rng = random.Random(113 + q)
+    multi = 0
+    for _ in range(30):
+        k, l = rng.randint(1, 3), rng.randint(1, 5 if q == 3 else 4 if q == 5 else 3)
+        M = list(zip(*_random_columns(q, rng, k, l)))
+        passing, reference = criterion._twist_test(M, q), _reference_twist_test(M, q)
+        multi += len(fqlinalg.null_space_basis(M, q)) > 1
+        for c in product(range(1, q), repeat=l):
+            assert passing(c) == reference(c), (M, c)
+    assert multi > 0  # some twists pass on a later basis vector than the first
+
+
+def test_counterexample_c_self_check_raises(monkeypatch):
+    # the check d^T M(c) = (1, ..., 1) is the second mat_vec: corrupt it alone
+    true_mat_vec = fqlinalg.mat_vec
+    calls = []
+
+    def corrupted(rows, x, q):
+        calls.append(None)
+        out = true_mat_vec(rows, x, q)
+        return out if len(calls) == 1 else [(v + 1) % q for v in out]
+
+    monkeypatch.setattr(fqlinalg, "mat_vec", corrupted)
+    with pytest.raises(RuntimeError, match=r"d\^T M\(c\)"):
+        counterexample_c(build_profile(CUBE_NO), (1, 1))
+    assert len(calls) == 2
+
+
+def test_self_checks_survive_python_O():
+    # python -O strips assert statements; the self-checks are raised errors,
+    # so a corrupted kernel still ends in the CLI's internal-error exit 3
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit(99)  # not running under -O\n"
+        "from qresidue import cli, fqlinalg\n"
+        "true_rref = fqlinalg.rref\n"
+        "def corrupted(rows, q):\n"
+        "    R, rank, pivots = true_rref(rows, q)\n"
+        "    R[0][-1] = (R[0][-1] + 1) % q\n"
+        "    return R, rank, pivots\n"
+        "fqlinalg.rref = corrupted\n"
+        "sys.exit(cli.main(['oracle-check', '--q', '3', '--k-max', '2', '--l-max', '3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert b"internal error: RuntimeError" in proc.stderr and b"fails Mx = 0" in proc.stderr
 
 
 def test_skalba_oracle_row_reduces_once_per_profile(monkeypatch):
