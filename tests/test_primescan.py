@@ -1,16 +1,20 @@
+import os
 import random
+import signal
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qresidue import arith, covering, primescan, profiles
+from qresidue import arith, cli, covering, primescan, profiles
 from qresidue.arith import FactoredInteger, factorize, odd_prime_flags
 from qresidue.covering import GuardError
+from qresidue.criterion import Verdict, decide
 from qresidue.primescan import (
     SCAN_BOUND_LIMIT,
     DensityReport,
@@ -77,6 +81,14 @@ def test_has_qth_power_mod_p():
         has_qth_power_mod_p([2, 3], 3, 3)
     with pytest.raises(ValueError):
         has_qth_power_mod_p([2, 3], 2, 3)
+    # p must be a prime: 91 = 7 * 13 once gave a report with splits=True,
+    # 0 a ZeroDivisionError and -7 a report; q must be an odd prime
+    for p in (91, 0, -7, 1, 9):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            has_qth_power_mod_p([2, 5], p, 3)
+    for q in (9, 2, 1, -3):
+        with pytest.raises(ValueError, match="q must be an odd prime"):
+            has_qth_power_mod_p([2, 5], 7, q)
 
 
 def test_qth_root_matches_enumeration():
@@ -398,3 +410,272 @@ def test_scans_match_reference_loops_on_random_sets():
             assert census(B, q, bound) == expected
 
     check()
+
+
+# --- the walk on several CPUs ---------------------------------------------
+
+
+def _parallel(monkeypatch, prefix, workers):
+    """Walk with a prefix of `prefix` indices and `workers` CPUs, so that
+    small bounds are cut into many ranges."""
+    monkeypatch.setattr(primescan, "_SERIAL_PREFIX", prefix)
+    monkeypatch.setattr(primescan, "_workers", lambda: workers)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _check_against_reference(q, B, bound):
+    fields, first = _reference_scan(B, q, bound)
+    assert find_counterexample_prime(B, q, bound) == first
+    expected = DensityReport(**fields, predicted_density=_prime_row_density(B, q))
+    assert census(B, q, bound) == expected
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("q, B, bound", list(_scan_cases()))
+def test_parallel_walk_matches_reference_loops(monkeypatch, q, B, bound):
+    monkeypatch.setattr(profiles, "factorize", _factorize_knowing_the_semiprime)
+    _parallel(monkeypatch, 64, 3)
+    _check_against_reference(q, B, min(bound, 30_000))
+
+
+def test_parallel_walk_matches_reference_loops_on_random_sets(monkeypatch):
+    rng = random.Random(25)
+    small = [2, 3, 5, 7, 11, 13, 17]
+    for _ in range(24):
+        q = rng.choice([3, 5, 7])
+        B = []
+        for _ in range(rng.randint(1, 4)):
+            b = q if rng.random() < 0.2 else 1
+            for p in rng.sample(small, rng.randint(1, 3)):
+                b *= p ** rng.randint(1, q - 1)
+            B.append(-b if rng.random() < 0.3 else b)
+        _parallel(monkeypatch, rng.choice([1, 2, 5, 40]), rng.randint(2, 5))
+        _check_against_reference(q, B, rng.randint(100, 12_000))
+
+
+# q = 3: these elements over 2, 5, 7, 11 miss one line of F_3^4, so one prime
+# in 81 fails.  The first failing one, 1579, is index 262 of the split slice
+# flags[2::3], which stands for the primes 7 + 6j.
+_SPARSE = [50, 55, 70, 110, 245, 490, 550, 605, 6050]
+_SPARSE_FIRST = (1579 - 7) // 6
+
+
+@pytest.mark.parametrize("bound, prefix, workers, where", [
+    (20_000, 100, 2, "caller"),
+    (3_000, 100, 4, "child"),
+    (3_145, 100, 2, "boundary"),
+    (2_341, 50, 3, "last"),
+    (1_805, 100, 3, "empty"),
+])
+def test_first_failing_prime_in_every_kind_of_range(monkeypatch, bound, prefix, workers, where):
+    _parallel(monkeypatch, prefix, workers)
+    walked, forked = [], []
+    walk, fork_walk = primescan._walk, primescan._fork_walk
+
+    def recorded_walk(plan, q, flags, product, lo, hi, cap, drain):
+        walked.append((lo, hi))
+        return walk(plan, q, flags, product, lo, hi, cap, drain)
+
+    def recorded_fork(walk, lo, hi, mask):
+        forked.append((lo, hi))
+        return fork_walk(walk, lo, hi, mask)
+
+    monkeypatch.setattr(primescan, "_walk", recorded_walk)
+    monkeypatch.setattr(primescan, "_fork_walk", recorded_fork)
+    fields, first = _reference_scan(_SPARSE, 3, bound)
+    assert first == 1579
+    expected = DensityReport(**fields, predicted_density=Fraction(1, 81))
+    assert census(_SPARSE, 3, bound) == expected
+    # the census walks every range: the prefix, the caller's, the children's
+    ranges = sorted(walked + forked)
+    assert ranges[0] == (0, prefix) and len(ranges) == workers + 1
+    assert [hi for _, hi in ranges[:-1]] == [lo for lo, _ in ranges[1:]]
+    n = len(odd_prime_flags(bound)) // 3
+    assert ranges[-1][1] == n
+    home = next(r for r in ranges if r[0] <= _SPARSE_FIRST < r[1])
+    failing = [(p - 7) // 6 for p in fields["failing_primes"]]
+    if where == "caller":
+        assert home in walked and home[0] == prefix
+    elif where == "child":
+        assert home in forked and home != ranges[-1]
+    elif where == "boundary":
+        assert home in forked and home[0] == _SPARSE_FIRST
+    elif where == "last":
+        assert home == ranges[-1] and all(home[0] <= j for j in failing)
+    else:
+        assert (prefix, prefix) in walked and home in forked
+    assert find_counterexample_prime(_SPARSE, 3, bound) == 1579
+    _assert_no_child()
+
+
+def test_scan_that_stops_in_the_prefix_does_not_fork(monkeypatch):
+    def fail():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fail)
+    _parallel(monkeypatch, 300, 4)
+    assert find_counterexample_prime(_SPARSE, 3, 20_000) == 1579
+
+
+def test_walk_stays_serial_without_fork(monkeypatch):
+    _parallel(monkeypatch, 50, 4)
+    monkeypatch.delattr(os, "fork")
+    _check_against_reference(3, _SPARSE, 20_000)
+
+
+def test_walk_stays_serial_when_fork_fails(monkeypatch):
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise OSError("no more processes")
+
+    _parallel(monkeypatch, 50, 4)
+    monkeypatch.setattr(os, "fork", fork)
+    _check_against_reference(3, _SPARSE, 20_000)
+    assert len(calls) == 2  # one per walk, and no second try after a failure
+
+
+def test_walk_ranges_no_child_took_when_a_later_fork_fails(monkeypatch):
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(1)
+        if len(calls) % 3 == 0:  # the last of each walk's three children
+            raise OSError("no more processes")
+        return real()
+
+    _parallel(monkeypatch, 50, 4)
+    monkeypatch.setattr(os, "fork", fork)
+    _check_against_reference(3, _SPARSE, 20_000)
+    _check_against_reference(3, [2], 20_000)
+
+
+def test_walk_stays_serial_while_another_thread_runs(monkeypatch):
+    def fail():
+        raise AssertionError("forked with another thread running")
+
+    _parallel(monkeypatch, 50, 4)
+    monkeypatch.setattr(os, "fork", fail)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(30,))
+    thread.start()
+    try:
+        _check_against_reference(3, _SPARSE, 20_000)
+        _check_against_reference(3, [2, 3, 6], 20_000)
+    finally:
+        stop.set()
+        thread.join(30)
+    assert not thread.is_alive()
+
+
+class _Interrupt(BaseException):
+    """Stands for KeyboardInterrupt or a benchmark's op timeout."""
+
+
+def test_an_exception_in_the_caller_mid_walk_leaves_no_child(monkeypatch):
+    _parallel(monkeypatch, 100, 3)
+    caller, fails = os.getpid(), primescan._fails
+
+    def interrupted(plan, p, q):
+        # past the prefix (primes up to 7 + 6 * 100), in the caller's range
+        if os.getpid() == caller and p > 1000:
+            raise _Interrupt
+        return fails(plan, p, q)
+
+    monkeypatch.setattr(primescan, "_fails", interrupted)
+    for scan in (census, find_counterexample_prime):
+        with pytest.raises(_Interrupt):
+            scan(_SPARSE, 3, 20_000)
+        _assert_no_child()
+
+
+def test_an_interrupt_at_any_time_leaves_no_child_and_no_blocked_signal():
+    # a SIGALRM handler that raises, as a benchmark's op timeout does, fired
+    # at times spread over the sieve, the prefix, the forks and the replies
+    def interrupt(signum, frame):
+        raise _Interrupt
+
+    expected = census([2, 3, 6, 12], 3, 100_000)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        for k in range(40):
+            signal.setitimer(signal.ITIMER_REAL, 0.0005 * (k + 1))
+            try:
+                try:
+                    assert census([2, 3, 6, 12], 3, 100_000) == expected
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+            except _Interrupt:
+                pass
+            assert not signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            _assert_no_child()
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _broken_children(monkeypatch, reply):
+    """Every forked child returns reply() from its walk instead of walking."""
+    caller, walk = os.getpid(), primescan._walk
+
+    def broken(*args):
+        return walk(*args) if os.getpid() == caller else reply()
+
+    monkeypatch.setattr(primescan, "_walk", broken)
+
+
+@pytest.mark.parametrize("reply, message", [
+    (lambda: os._exit(5), "exited with code 5"),
+    (lambda: os.kill(os.getpid(), 9), "exited with code -9"),
+    (lambda: 1 / 0, "exited with code 1"),
+    (lambda: (1, ("x",)), "malformed reply"),
+    (lambda: (0, (1579,)), "malformed reply"),  # fewer failing primes counted than listed
+    (lambda: (30, tuple(range(30))), "malformed reply"),  # more than the census keeps
+])
+def test_a_broken_child_is_an_internal_error(monkeypatch, capsys, reply, message):
+    _parallel(monkeypatch, 50, 3)
+    _broken_children(monkeypatch, reply)
+    with pytest.raises(RuntimeError, match=message):
+        census(_SPARSE, 3, 20_000)
+    _assert_no_child()
+    argv = ["census", "--q", "3", "--set", ",".join(map(str, _SPARSE)), "--bound", "20000"]
+    assert cli.main(argv) == 3
+    assert "walk worker" in capsys.readouterr().err
+    _assert_no_child()
+
+
+def test_covering_and_scan_agree_on_random_sets():
+    # The covering engine against Euler's criterion: a No has a failing prime
+    # below 10^5, at which no element is a residue, and a Yes has none.  At
+    # 10^5 the walk runs on every CPU with the real prefix.  Pencils, some a
+    # line short, make Yes sets and close No sets.
+    rng = random.Random(12)
+    primes = [p for p in _PRIMES_BELOW_800 if p < 50]
+    verdicts = Counter()
+    for _ in range(30):
+        q = rng.choice([3, 5])
+        support = rng.sample([p for p in primes if p != q], rng.randint(1, 3))
+        B = []
+        if len(support) > 1 and rng.random() < 0.7:
+            B = _pencil(q, *support[:2])
+            if rng.random() < 0.5:
+                B.pop(rng.randrange(len(B)))
+        while len(B) < 2 * q and rng.random() < 0.7 or not B:
+            b = prod(p ** rng.randint(0, q - 1) for p in support)
+            if b > 1:
+                B.append(b)
+        B = [-b if rng.random() < 0.3 else b for b in B]
+        verdict = decide(QInput(q, tuple(B))).verdict
+        verdicts[verdict] += 1
+        p = find_counterexample_prime(B, q, 10**5)
+        if verdict is Verdict.NO:
+            assert p is not None
+            assert not any(r for _, r in has_qth_power_mod_p(B, p, q).per_element)
+        else:
+            assert p is None
+        _assert_no_child()
+    assert verdicts[Verdict.YES] >= 5 and verdicts[Verdict.NO] >= 5
