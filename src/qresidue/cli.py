@@ -35,11 +35,11 @@ SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
 # Bound on the bytes of text of a Yes assignment (W (q^k - 1), W the entry
 # width of _render_assignment) and of the twists of synthesize, each counted
-# before it is built.  It admits q = 3, k = 13: on a 2-vCPU VM, Python 3.11,
-# main() on --json decide of a pencil and 11 padding elements there (bound
-# 5.3e7 bytes, 5.1e7 written to /dev/null) takes 0.29-0.38 s and peaks at
-# 125 MB RSS: two copies of the text are alive at a time (the buffer and the
-# text cut from it, then the text and the bytes written).
+# before it is built.  It admits q = 3, k = 13: on a 2-vCPU VM, Python
+# 3.11.7, main() on --json decide of a pencil and 11 padding elements there
+# (bound 5.3e7 bytes, 5.1e7 written to /dev/null) takes 0.21-0.25 s and peaks
+# at 125 MB RSS: two copies of the text are alive at a time (the buffer and
+# the text cut from it, then the text and the bytes written).
 ASSIGNMENT_TEXT_LIMIT = 6 * 10**7
 # Bound on synthesize --k: the fixture prints k primes and q+1 normals of
 # length k, and the first 10^3 odd primes take about 20 ms to find.
@@ -108,7 +108,8 @@ def _render_assignment(covering, head, mid, sep):
     takes the coordinates from the last: it is repeated q times, and copy d
     gets digit d in the column of the coordinate.  Byte t of the index is
     the covering's label column t under the NUL-padded decimal indices.  Then
-    the origin's entry, the last separator and the NULs are cut out.
+    the origin's entry and the last separator are cut out, and the NULs too
+    when q > 10 or l > 10: only then is a key or an index padded.
     """
     q, k, n, l = covering.q, covering.k, covering.q**covering.k, len(covering.normals)
     keys = [str(d).rjust(len(str(q - 1)), "\0").encode() for d in range(q)]
@@ -129,8 +130,9 @@ def _render_assignment(covering, head, mid, sep):
     for t, column in enumerate(covering.label_columns(labels)):
         out[at + t :: width] = column
     del out[:width], out[-len(sep) :]  # the origin's entry and the last separator
-    # one statement each, so that at most two copies of the text are alive
-    out = out.translate(None, b"\0")
+    if len(keys[0]) > 1 or len(labels[0]) > 1:  # some padding: q > 10 or l > 10
+        # one statement each, so that at most two copies of the text are alive
+        out = out.translate(None, b"\0")
     return out.decode()
 
 

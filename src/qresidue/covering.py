@@ -16,8 +16,11 @@ the lowest zero bit of the OR, and the number of uncovered points is q^k
 minus the popcount (uncovered_count ORs one mask in at a time).  The Yes
 assignment lists, in the same order, the index of the first normal whose
 hyperplane holds each nonzero point.  Only CoveringResult.label_columns
-reads it off the masks, one byte column per byte of a label: the library's
-index array takes 4-byte labels, the CLI's text its decimal ones.
+reads it off the masks.  It numbers the normals that own a point, builds
+one owner column (one byte per point, its owner's number) from the bit
+planes of those numbers, and translates that column once per byte of a
+label: the library's index array takes 4-byte labels, the CLI's text its
+decimal ones.
 """
 
 import sys
@@ -175,24 +178,50 @@ class CoveringResult:
         first normal whose hyperplane holds the point (0 where none does).
 
         Normal i owns mask i & ~(masks 0..i-1), the points no earlier normal
-        holds.  The owned masks are disjoint, so for each t the owned masks
-        whose labels share byte t are ORed, and each union is spread to bytes
-        once and added into the column.
+        holds.  One walk numbers the normals that own a point 1, 2, ... in
+        input order (a later scalar multiple owns none), and each group of
+        255 of them gets one owner column: each point's number in its group,
+        0 where no owner of the group holds it (see _owner_column).  Column t
+        is then one translate of each owner column, number i to byte t of
+        owner i's label, and the groups' columns are added, as their points
+        are disjoint.
         """
         n = self.q**self.k
         remaining = (1 << n) - 1
-        unions = [{} for _ in labels[0]]  # per t: byte t of a label -> its points
+        owners = []  # (label, owned points) per normal that owns a point
         for label, mask in zip(labels, self.masks):
             own = mask & remaining
-            remaining ^= own
-            for by_byte, byte in zip(unions, label):
-                by_byte[byte] = by_byte.get(byte, 0) | own
-        for by_byte in unions:
-            # each union as one byte per point, point n-1 first: byte where it has the point
-            spreads = (format(own, f"0{n}b").encode().translate(bytes.maketrans(b"01", bytes((0, byte))))
-                       for byte, own in by_byte.items() if byte and own)
-            column = sum(int.from_bytes(spread, "big") for spread in spreads)
-            yield column.to_bytes(n, "little")
+            if own:
+                remaining ^= own
+                owners.append((label, own))
+        groups = [owners[g : g + 255] for g in range(0, len(owners), 255)]
+        columns = [_owner_column([own for _, own in group], n) for group in groups]
+        for t in range(len(labels[0])):
+            parts = []
+            for group, column in zip(groups, columns):
+                table = bytes([0, *[label[t] for label, _ in group]]).rstrip(b"\0")
+                if table:
+                    parts.append(column.translate(table.ljust(256, b"\0")))
+            if len(parts) == 1:
+                yield parts[0]
+            else:  # disjoint parts, or none: a column of zeros
+                yield sum(int.from_bytes(part, "little") for part in parts).to_bytes(n, "little")
+
+
+def _owner_column(owned, n) -> bytes:
+    """One byte per point of F_q^k, the origin first: the number i (from 1)
+    of the mask owned[i-1] that holds the point, 0 where none does.  The
+    masks are disjoint and at most 255.  Bit plane j, the OR of the masks
+    whose number has bit j set, is spread to one byte per point (2^j where
+    it has the point), and the planes' spreads are summed: a point's sum is
+    its number, at most 255, so no carry crosses a byte."""
+    total = 0
+    for j in range(len(owned).bit_length()):
+        plane = reduce(or_, [own for i, own in enumerate(owned, 1) if i >> j & 1])
+        # point n-1 first
+        spread = format(plane, f"0{n}b").encode().translate(bytes.maketrans(b"01", bytes((0, 1 << j))))
+        total += int.from_bytes(spread, "big")
+    return total.to_bytes(n, "little")
 
 
 def check_family(normals, k, q):

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_covering import pencil_owner
+
 from qresidue import cli, covering, criterion, profiles
 from qresidue.arith import coprime_base
 from qresidue.cli import main
@@ -535,6 +537,35 @@ def test_rendered_assignment_matches_the_dict_reference(data):
     reference = dict(envelope, result={"verdict": "yes", "covering": _reference_covering(result)})
     assert "".join(cli._render_json(envelope)) == json.dumps(reference) + "\n"
     assert "".join(cli._render_text(envelope)) == "command: decide\n" + _reference_text(reference["result"])
+
+
+@pytest.mark.parametrize("q, elements", [
+    (3, [5, 7, 35, 245, 11, 13]),  # l = 6: no key or index is padded
+    (3, [5, 7, 35, 245, 11, 13, 17, 19, 23, 29, 31]),  # l = 11: each index is padded to 2 digits
+    (11, [3, 5, *[3 * 5**t for t in range(1, 11)]]),  # keys and indices are padded
+])
+def test_padded_and_unpadded_texts_match_the_dict_reference(capsys, monkeypatch, q, elements):
+    expected = _assert_yes_output_matches_the_dict_reference(capsys, monkeypatch, q, elements)
+    # only the q + 1 pencil normals own points
+    assert set(expected["assignment"].values()) == set(range(q + 1))
+
+
+def test_q_257_pencil_text_matches_the_closed_form_owners(capsys):
+    # 258 owners cross the 255-owner group boundary; the keys and the indices
+    # are both padded to 3 digits
+    q = 257
+    argv = ("decide", "--q", str(q), "--set", ",".join(map(str, [3, 5, *[3 * 5**t for t in range(1, q)]])))
+    assignment = {f"{x1},{x2}": pencil_owner(x1, x2, q)
+                  for x1, x2 in islice(product(range(q), repeat=2), 1, None)}
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    env = json.loads(out)
+    assert env["result"]["covering"]["assignment"] == assignment
+    env["result"]["covering"] = {"points_assigned": q**2 - 1, "assignment": assignment}
+    assert out == json.dumps(env) + "\n"
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    assert text == "command: decide\n" + _reference_text(env["result"])
 
 
 @pytest.mark.parametrize("copies", [300, 70_000])

@@ -348,6 +348,89 @@ def test_assignment_past_one_and_two_byte_indices(copies):
     assert list(covers(normals, 2, 3).assignment) == list(assignment.values())
 
 
+def pencil_owner(x1, x2, q):
+    """The first normal of synthesize_covering(2, q) whose line holds (x1, x2):
+    x1 = 0 is normal 0, x2 = 0 normal 1, and x1 + t x2 = 0 normal 1 + t."""
+    if x1 % q == 0:
+        return 0
+    if x2 % q == 0:
+        return 1
+    return 1 + (-x1 * pow(x2, -1, q)) % q
+
+
+def test_assignment_of_the_q_257_pencil_crosses_the_owner_group_boundary():
+    # 258 normals, each owning a point: owners 256-258 are a second group of 255
+    q = 257
+    result = covers(synthesize_covering(2, q), 2, q)
+    expected = [pencil_owner(x1, x2, q) for x1, x2 in product(range(q), repeat=2)][1:]
+    assert max(expected) == 257
+    assert list(result.assignment) == expected
+
+
+def reference_label_columns(normals, k, q, labels, owners=None):
+    """label_columns point by point: byte t of the label of the point's owner
+    (by default the first normal that holds it), 0 where it has none."""
+    if owners is None:
+        owners = [next((i for i, n in enumerate(normals) if contains(n, v, q)), None)
+                  for v in product(range(q), repeat=k)]
+    return [bytes(0 if i is None else labels[i][t] for i in owners) for t in range(len(labels[0]))]
+
+
+def label_kinds(l):
+    """The library's 4-byte labels and the CLI's NUL-padded decimal ones."""
+    return ([i.to_bytes(4, "little") for i in range(l)],
+            [str(i).rjust(len(str(l - 1)), "\0").encode() for i in range(l)])
+
+
+@pytest.mark.parametrize("normals, k, q", [
+    # later scalar multiples, some right after their class's first normal
+    ([(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 2), (1, 2), (2, 1)], 2, 3),
+    ([(0, 1, 1), (1, 0, 0), (0, 2, 2), (1, 1, 0), (2, 2, 0), (0, 1, 0), (1, 2, 1), (2, 0, 0),
+      (0, 0, 1), (1, 1, 1), (0, 1, 2), (2, 1, 2), (1, 0, 1)], 3, 3),
+    ([(1, 0), (3, 0), (0, 1), (1, 1), (2, 2), (1, 2), (4, 3), (1, 3), (1, 4), (0, 4), (2, 3),
+      (3, 1)], 2, 5),
+])
+def test_later_scalar_multiples_own_nothing(normals, k, q):
+    result = covers(normals, k, q)
+    covered, _, assignment = reference_covers(normals, k, q)
+    assert covered and list(result.assignment) == list(assignment.values())
+    first = {}
+    for i, n in enumerate(normals):
+        first.setdefault(projective_class(n, q), i)
+    assert set(assignment.values()) <= set(first.values())
+    for labels in label_kinds(len(normals)):
+        assert list(result.label_columns(labels)) == reference_label_columns(normals, k, q, labels)
+
+
+def test_label_columns_of_an_uncovered_family_are_zero_off_the_union():
+    # byte 0 where no normal holds the point, under both kinds of label; 11
+    # or more normals make the decimal labels two digits wide
+    rng = random.Random(83)
+    uncovered = 0
+    for q, k in [(3, 3), (3, 4), (5, 2), (5, 3), (7, 2)] * 4:
+        normals = [n for n in (tuple(rng.randrange(q) for _ in range(k)) for _ in range(14))
+                   if any(n)]
+        result = CoveringResult(normals, k, q)
+        if result.covered:
+            continue
+        uncovered += 1
+        for labels in label_kinds(len(normals)):
+            expected = reference_label_columns(normals, k, q, labels)
+            assert list(result.label_columns(labels)) == expected
+            assert 0 in expected[-1]
+    assert uncovered >= 10
+    # the q = 257 pencil without its last line: 257 owners in two groups
+    q = 257
+    normals = synthesize_covering(2, q)[:-1]
+    owners = [pencil_owner(x1, x2, q) for x1, x2 in product(range(q), repeat=2)]
+    owners = [None if i == q else i for i in owners]
+    result = CoveringResult(normals, 2, q)
+    assert not result.covered
+    for labels in label_kinds(len(normals)):
+        expected = reference_label_columns(normals, 2, q, labels, owners)
+        assert list(result.label_columns(labels)) == expected
+
+
 def test_empty_family_witness_is_origin():
     for q, k in [(3, 1), (3, 4), (5, 3), (7, 2)]:
         assert covers([], k, q).witness == (0,) * k

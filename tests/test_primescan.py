@@ -2,6 +2,7 @@ import os
 import random
 import signal
 import threading
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
@@ -567,6 +568,38 @@ def test_walk_stays_serial_while_another_thread_runs(monkeypatch):
     try:
         _check_against_reference(3, _SPARSE, 20_000)
         _check_against_reference(3, [2, 3, 6], 20_000)
+    finally:
+        stop.set()
+        thread.join(30)
+    assert not thread.is_alive()
+
+
+def test_walk_forks_with_no_multi_threaded_warning(monkeypatch):
+    # Python 3.12+ warns, in the parent, of a fork from a process with another
+    # thread running.  An "error" filter does not catch that: os.fork swallows
+    # the error it raises.  A filter that records every warning does see it.
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    def walk_recording_warnings():
+        forks.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _check_against_reference(3, _SPARSE, 20_000)
+        return [w for w in caught
+                if issubclass(w.category, DeprecationWarning) and "multi-threaded" in str(w.message)]
+
+    _parallel(monkeypatch, 50, 4)
+    monkeypatch.setattr(os, "fork", fork)
+    assert walk_recording_warnings() == [] and forks  # alone, the walk forks
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(30,))
+    thread.start()
+    try:
+        assert walk_recording_warnings() == [] and not forks  # with a thread, it does not
     finally:
         stop.set()
         thread.join(30)
