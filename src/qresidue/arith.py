@@ -1,14 +1,14 @@
 """Arbitrary-precision integer arithmetic: primality, factorization, exact roots.
 
-factorize() takes the primes below 2^12 out with one gcd against their
-product, then splits what is left with Miller-Rabin, exact integer roots and
-Pollard-Brent rho: a cofactor a^d is split by its d-th root before rho runs,
-so RHO_ITERATION_LIMIT (steps per factor found) bounds only the smallest
-prime of a cofactor that is not a perfect power.  coprime_base() splits a
-set of integers into pairwise coprime pieces with gcds alone, so that a set
-whose elements share primes needs one factorization per piece, not one per
-element; strip_power() divides out the whole power of a divisor in O(log e)
-steps, not e.  odd_prime_flags() is the package's one sieve of
+factorize() takes the primes below _TRIAL_BOUND = 2^12 out with one gcd
+against their product, then splits what is left with Miller-Rabin, exact
+integer roots and Pollard-Brent rho: a cofactor a^d is split by its d-th root
+before rho runs, so RHO_ITERATION_LIMIT (steps per factor found) bounds only
+the smallest prime of a cofactor that is not a perfect power.  coprime_base()
+splits a set of integers into pairwise coprime pieces with gcds alone, so
+that a set whose elements share primes needs one factorization per piece, not
+one per element; strip_power() divides out the whole power of a divisor in
+O(log e) steps, not e.  odd_prime_flags() is the package's one sieve of
 Eratosthenes, a bytearray of flags over the odd numbers: it yields the trial
 primes here and every prime that primescan counts or scans.
 
@@ -75,9 +75,11 @@ def odd_prime_flags(bound):
     return flags
 
 
-# 564 primes, 2 to 4093, and their product (5,811 bits): gcd(m, _TRIAL_PRODUCT)
-# holds exactly the primes of m below 2^12
-_TRIAL_PRIMES = (2, *compress(range(3, 1 << 12, 2), odd_prime_flags(1 << 12)))
+# The trial-division bound: the 564 primes below it, 2 to 4093, and their
+# product (5,811 bits); gcd(m, _TRIAL_PRODUCT) holds exactly the primes of m
+# below _TRIAL_BOUND
+_TRIAL_BOUND = 1 << 12
+_TRIAL_PRIMES = (2, *compress(range(3, _TRIAL_BOUND, 2), odd_prime_flags(_TRIAL_BOUND)))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
@@ -121,8 +123,9 @@ def is_probable_prime(n: int) -> bool:
 
 def _brent_rho(n, rng):
     # Pollard rho with Brent cycle detection; n odd composite with no prime
-    # factor below 2^12.  Returns a nontrivial factor, or raises GuardError
-    # once RHO_ITERATION_LIMIT steps of the iteration have found none.
+    # factor below _TRIAL_BOUND.  Returns a nontrivial factor, or raises
+    # GuardError once RHO_ITERATION_LIMIT steps of the iteration have found
+    # none.
     budget = RHO_ITERATION_LIMIT
 
     def spend(steps):
@@ -168,10 +171,12 @@ def _brent_rho(n, rng):
 
 def _perfect_power(v):
     # (a, d) with v = a^d for a prime d, or None.  v has no prime factor
-    # below 2^12, so a >= 4099 and only d with 4099^d <= v can hold.  (Above
-    # 4099^4093, some 14,800 digits, a root of higher degree is left to rho.)
+    # below _TRIAL_BOUND, so a > _TRIAL_BOUND and only d with _TRIAL_BOUND^d
+    # < v can hold.  Only the trial primes are tried as d: a root of degree
+    # above _TRIAL_BOUND needs v above _TRIAL_BOUND^_TRIAL_BOUND, some 14,800
+    # digits, and is left to rho.
     for d in _TRIAL_PRIMES:
-        if 4099**d > v:
+        if _TRIAL_BOUND**d > v:
             return None
         a = integer_qth_root(v, d)
         if a is not None:
@@ -180,17 +185,18 @@ def _perfect_power(v):
 
 
 def factorize(n: int) -> FactoredInteger:
-    """Exact factorization: the primes below 2^12 by one gcd with their
-    product, then Miller-Rabin, exact roots and Brent-Pollard rho on the
-    cofactor.
+    """Exact factorization: the primes below _TRIAL_BOUND by one gcd with
+    their product, then Miller-Rabin, exact roots and Brent-Pollard rho on
+    the cofactor.
 
     g = gcd(|n|, _TRIAL_PRODUCT) is squarefree; trial division of g, not of
     n, finds its primes, and strip_power takes each one's whole power out of
-    n.  A composite cofactor that is a perfect power a^d is split by its d-th
-    root, and a goes on at d times its multiplicity; only a composite that
-    is no perfect power goes to rho.  Raises GuardError when rho needs more
-    than RHO_ITERATION_LIMIT steps for one factor, which happens only above
-    about 10^12 for the smallest prime of such a composite."""
+    n.  A cofactor below _TRIAL_BOUND^2 is prime.  A composite cofactor that
+    is a perfect power a^d is split by its d-th root, and a goes on at d
+    times its multiplicity; only a composite that is no perfect power goes
+    to rho.  Raises GuardError when rho needs more than RHO_ITERATION_LIMIT
+    steps for one factor, which happens only above about 10^12 for the
+    smallest prime of such a composite."""
     if n == 0:
         raise ValueError("cannot factorize 0")
     sign = 1 if n > 0 else -1
@@ -205,7 +211,7 @@ def factorize(n: int) -> FactoredInteger:
             counts[p], m = strip_power(m, p)
     if g > 1:  # no prime of g up to its square root
         counts[g], m = strip_power(m, g)
-    if 1 < m < 4099 * 4099:  # no prime factor below 4099, the least prime > 2^12
+    if 1 < m < _TRIAL_BOUND**2:  # no prime factor below _TRIAL_BOUND, so m is prime
         counts[m] = 1
     elif m > 1:
         rng = None  # seeded by the cofactor on rho's first call

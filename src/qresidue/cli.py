@@ -29,7 +29,7 @@ from . import criterion, primescan
 from .arith import is_probable_prime
 from .covering import CoveringResult, GuardError, check_family, synthesize_covering
 from .criterion import Verdict, decide
-from .profiles import QInput, check_q
+from .profiles import QInput, check_count, check_q
 
 SCHEMA_VERSION = "1"
 TWIST_ORBIT_LIMIT = 10**5
@@ -282,7 +282,7 @@ def cmd_synthesize(args):
         exponents = product(range(1, q), repeat=len(B))
     else:
         count = args.twists
-        _check_count("--twists", count, TWIST_ORBIT_LIMIT)
+        check_count("--twists", count, TWIST_ORBIT_LIMIT)
         rng = random.Random(args.seed)
         exponents = ([rng.randint(1, q - 1) for _ in B] for _ in range(count))
     # b^a with a <= q-1 is below 2^((q-1) bitlen b): at most (q-1) bitlen(b) / 3 + 1
@@ -309,13 +309,6 @@ def cmd_oracle_check(args):
         "disagreeing_columns": [list(map(list, cols)) for cols in bad[:10]],
     }
     return (0 if not bad else 1), result
-
-
-def _check_count(flag, count, limit):
-    if count < 1:
-        raise UsageError(f"{flag} must be >= 1")
-    if count > limit:
-        raise GuardError(f"{flag} {count} exceeds limit {limit}")
 
 
 # The renderers return the output as a list of strings, with every newline a

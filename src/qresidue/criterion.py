@@ -26,8 +26,8 @@ from operator import mul
 from . import fqlinalg
 from .arith import integer_qth_root, odd_prime_flags
 from .covering import POINT_ENUMERATION_LIMIT, CoveringResult, GuardError, covers
-from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile, check_q,
-                       hyperplanes_of)
+from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile, check_count,
+                       check_q, hyperplanes_of)
 
 # Bound on the Skalba checks, i.e. twist vectors c tried.  On a 2-vCPU VM
 # with Python 3.11.7, skalba_oracle on a covering profile at q = 3, k = 3,
@@ -198,8 +198,8 @@ def _check_sizes(q, k_max, l_max):
     """Both sweeps need an odd prime q and k_max, l_max >= 1; the message
     names oracle-check's flag."""
     check_q(q)
-    if min(k_max, l_max) < 1:
-        raise ValueError(f"--{'k' if k_max < 1 else 'l'}-max must be >= 1")
+    check_count("--k-max", k_max)
+    check_count("--l-max", l_max)
 
 
 def _compare_routes(q, instances):
@@ -249,24 +249,18 @@ def oracle_check_random(q, k_max, l_max, trials, seed):
     Raises ValueError if trials < 1, and GuardError if trials exceeds
     ORACLE_INSTANCE_LIMIT, if trials (q-1)^l_max, a bound on the Skalba
     checks, exceeds ORACLE_ENUMERATION_LIMIT, or if q^k_max exceeds the
-    covering engine's POINT_ENUMERATION_LIMIT.
+    covering engine's POINT_ENUMERATION_LIMIT.  Each power is taken with
+    its exponent capped at the bit length of its limit, which any base >= 2
+    to that power exceeds, so the powers stay small and the outcome is the
+    same.
     """
     _check_sizes(q, k_max, l_max)
-    if trials < 1:
-        raise ValueError("--trials must be >= 1")
-    if trials > ORACLE_INSTANCE_LIMIT:
-        raise GuardError(f"--trials {trials} exceeds limit {ORACLE_INSTANCE_LIMIT}")
-    # (q-1)^24 >= 2^24 > ORACLE_ENUMERATION_LIMIT and q^17 >= 3^17 >
-    # POINT_ENUMERATION_LIMIT, so the caps keep the powers small without
-    # changing the outcome
-    if trials * (q - 1) ** min(l_max, 24) > ORACLE_ENUMERATION_LIMIT:
-        raise GuardError(
-            f"{trials} trials x (q-1)^{l_max} exceeds {ORACLE_ENUMERATION_LIMIT} Skalba checks"
-        )
-    if q ** min(k_max, 17) > POINT_ENUMERATION_LIMIT:
-        raise GuardError(
-            f"q^k_max = {q}^{k_max} exceeds enumeration limit {POINT_ENUMERATION_LIMIT}"
-        )
+    check_count("--trials", trials, ORACLE_INSTANCE_LIMIT)
+    check_limit, point_limit = ORACLE_ENUMERATION_LIMIT, POINT_ENUMERATION_LIMIT
+    if trials * (q - 1) ** min(l_max, check_limit.bit_length()) > check_limit:
+        raise GuardError(f"{trials} trials x (q-1)^{l_max} exceeds {check_limit} Skalba checks")
+    if q ** min(k_max, point_limit.bit_length()) > point_limit:
+        raise GuardError(f"q^k_max = {q}^{k_max} exceeds enumeration limit {point_limit}")
     rng = random.Random(seed)
 
     def instances():

@@ -11,9 +11,10 @@ plain tuples.
 
 import reprlib
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 
-from .arith import coprime_base, factorize, integer_qth_root, is_probable_prime, strip_power
+from .arith import (GuardError, coprime_base, factorize, integer_qth_root, is_probable_prime,
+                    strip_power)
 
 
 def check_q(q):
@@ -22,6 +23,15 @@ def check_q(q):
     if q < 3 or q % 2 == 0 or not is_probable_prime(q):
         raise ValueError(f"q must be an odd prime, got {reprlib.repr(q)}")
     return q
+
+
+def check_count(flag, count, limit=inf):
+    """A ValueError if count < 1 and a GuardError if count > limit, each
+    naming the flag: the rule of --twists, --trials, --k-max and --l-max."""
+    if count < 1:
+        raise ValueError(f"{flag} must be >= 1")
+    if count > limit:
+        raise GuardError(f"{flag} {count} exceeds limit {limit}")
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,24 @@ def test_factorize_small_primes_by_gcd_match_the_reference():
     assert factorize(below).factors == ((below, 1),)
 
 
+def test_factorize_around_the_square_of_the_trial_bound():
+    # no prime lies in [4096, 4099), so in [4096^2, 4099^2) the values with
+    # no trial prime are the primes: each is factored as prime, alone and as
+    # the cofactor left by trial division
+    trial = prod(_TRIAL_PRIMES)
+    window = [n for n in range(4096**2 + 1, 4099**2, 2) if gcd(n, trial) == 1]
+    assert len(window) == 1505
+    for p in window:
+        assert factorize(p).factors == ((p, 1),), p
+        assert factorize(-3 * p).factors == ((3, 1), (p, 1)), p
+    # the first primes above the bound, and powers of them, as trial division has it
+    above = [4099, 4111, 4127]
+    assert all(is_probable_prime(a) for a in above) and 4093 == _TRIAL_PRIMES[-1]
+    ns = [4099**2, 4099 * 4111] + [a**d for a in above for d in range(2, 8)]
+    for n in ns:
+        assert factorize(n) == reference_factorize(n), n
+
+
 P = 10**19 + 51  # a prime far beyond the rho budget
 
 

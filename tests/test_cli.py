@@ -214,6 +214,20 @@ def test_list_usage_errors_name_their_flag(capsys):
     assert code == 2 and err.strip() == "error: element set must be nonempty"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("certificate", "--q", "3", "--set", "2,3,6,12", "--c", "1,1"),
+     "--c must have 4 entries (one per deduplicated column)"),
+    (("synthesize", "--q", "3", "--k", "1"), "k must be >= 2"),
+    (("synthesize", "--q", "3", "--k", "3", "--primes", "5,7"), "need at least 3 primes"),
+    (("synthesize", "--q", "7", "--k", "2", "--twists", "all"),
+     "(q-1)^l = 1679616 exceeds orbit limit; use --twists N"),
+], ids=["c-entries", "k", "primes", "twists-all"])
+def test_command_refusals_keep_their_message(capsys, argv, message):
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, *json_flag, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_integer_usage_errors_name_their_flag(capsys):
     code, out, err = run(capsys, "decide", "--q", "abc", "--set", "2")
     assert code == 2 and out == "" and err.strip() == "error: --q must be an integer, got 'abc'"
@@ -241,15 +255,19 @@ def test_closed_pipe_is_not_a_verdict():
     # broken pipe, which must exit 141 without a traceback, not 1 ("No").
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     argv = ["--json", "synthesize", "--q", "5", "--k", "3", "--twists", "20000"]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "qresidue.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.read(1) == b"{"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 141
-    assert err == b""
+    ) as proc:
+        try:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 141
+            assert err == b""
+        finally:  # a failed assert leaves no child for a later test to reap
+            proc.kill()
+            proc.wait(timeout=60)
 
 
 def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):

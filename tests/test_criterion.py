@@ -80,6 +80,16 @@ def test_skalba_oracle():
     assert skalba_oracle(_matrix(QUINTIC_YES), 5)
 
 
+def test_skalba_oracle_refuses_over_its_limit_before_any_twist(monkeypatch):
+    def untried(M, q):
+        raise AssertionError("a twist was tried")
+
+    monkeypatch.setattr(criterion, "_twist_test", untried)
+    with pytest.raises(GuardError) as refused:
+        skalba_oracle([[1] * 24], 3)
+    assert str(refused.value) == "(q-1)^l = 16777216 exceeds oracle limit 10000000"
+
+
 def test_skalba_solve_reference_certificate():
     cert = skalba_solve(build_profile(CUBE_YES), [1, 1, 1, 1])
     assert cert.f == (2, 2, 1, 0)
@@ -141,6 +151,9 @@ def test_exponent_twist_examples():
     assert exponent_twist(CUBE_YES, (1, 1, 1, 1)).elements == CUBE_YES.elements
     with pytest.raises(ValueError):
         exponent_twist(CUBE_YES, (1, 1, 1, 0))
+    with pytest.raises(ValueError) as refused:
+        exponent_twist(CUBE_YES, (1, 1, 1))
+    assert str(refused.value) == "a must have one entry per element"
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 7919])
@@ -260,6 +273,20 @@ def test_oracle_random_budget(monkeypatch):
     for q, k_max in ((3, 17), (3, 10**9), (10007, 3)):  # q^k_max > 10^8 points
         with pytest.raises(GuardError, match=rf"q\^k_max = {q}\^{k_max} "):
             oracle_check_random(q, k_max, 1, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("limit, value, k_max, l_max, message", [
+    ("POINT_ENUMERATION_LIMIT", 10**9, 19, 1, r"q\^k_max = 3\^19 exceeds enumeration limit 1000000000"),
+    ("ORACLE_ENUMERATION_LIMIT", 10**8, 1, 27, r"1 trials x \(q-1\)\^27 exceeds 100000000 Skalba"),
+], ids=["points", "checks"])
+def test_oracle_random_caps_follow_a_raised_limit(monkeypatch, limit, value, k_max, l_max, message):
+    # each cap follows its limit: an exponent cap fixed for today's limits
+    # (3^17 > 10^8, 2^24 > 10^7) would let these raised ones through
+    assert 3**19 > 10**9 > 3**17 and 2**27 > 10**8 > 2**24
+    monkeypatch.setattr(criterion, limit, value)
+    _no_sweep(monkeypatch)
+    with pytest.raises(GuardError, match=message):
+        oracle_check_random(3, k_max, l_max, trials=1, seed=0)
 
 
 def test_oracle_budgets_admit_sweeps_at_the_limit(monkeypatch):

@@ -10,8 +10,8 @@ from math import prod
 
 import pytest
 
-from qresidue.covering import uncovered_count
-from qresidue.criterion import Verdict, decide, first_odd_primes
+from qresidue.covering import covers, uncovered_count
+from qresidue.criterion import Verdict, decide, first_odd_primes, skalba_oracle
 from qresidue.profiles import QInput, build_profile, hyperplanes_of
 
 
@@ -104,3 +104,29 @@ def test_grotzsch_graph_is_a_yes_whose_assignment_holds():
         on = [sum(a * x for a, x in zip(normal, point)) % q == 0 for normal in normals]
         owner = assignment[j]
         assert on[owner] and not any(on[:owner]), (j, owner)
+
+
+def random_graph(rng, n_max, e_max):
+    """(n, edges): n in [2, n_max] vertices and 1 to e_max distinct edges."""
+    n = rng.randint(2, n_max)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return n, rng.sample(pairs, rng.randint(1, min(e_max, len(pairs))))
+
+
+# (q, vertices, edges): q^n <= 3^9 points and (q-1)^|E| <= 10^5 twists
+@pytest.mark.parametrize("q, n_max, e_max", [(3, 9, 16), (5, 6, 8)])
+def test_random_graphs_against_the_independent_routes(q, n_max, e_max):
+    rng = random.Random(q)
+    verdicts = set()
+    for _ in range(40):
+        n, edges = random_graph(rng, n_max, e_max)
+        normals = [tuple(1 if w == u else q - 1 if w == v else 0 for w in range(n))
+                   for u, v in edges]
+        proper = sum(all(x[u] != x[v] for u, v in edges) for x in product(range(q), repeat=n))
+        assert uncovered_count(normals, n, q) == proper, (n, edges)
+        covered = covers(normals, n, q).covered
+        assert covered == skalba_oracle([list(row) for row in zip(*normals)], q), (n, edges)
+        assert covered == (proper == 0)
+        verdicts.add(covered)
+    # only q = 3 has room for a graph with no proper q-colouring (K_4, say)
+    assert verdicts == ({True, False} if q == 3 else {False})
