@@ -27,7 +27,7 @@ from math import prod
 
 from . import criterion, primescan
 from .arith import is_probable_prime
-from .covering import CoveringResult, GuardError, check_family, synthesize_covering
+from .covering import CoveringResult, GuardError, check_budget, synthesize_covering
 from .criterion import Verdict, decide
 from .profiles import QInput, check_count, check_q
 
@@ -258,10 +258,10 @@ def cmd_synthesize(args):
         primes = primes[: args.k]
     else:
         primes = list(criterion.first_odd_primes(args.q, args.k))
+    # The q+1 pencil normals live on the first two coordinates, so decide()
+    # sees k = 2: refuse an over-budget q before building q+1 elements p1^a p2^t.
+    check_budget(args.q + 1, 2, args.q)
     normals = synthesize_covering(args.k, args.q)
-    # The pencil lives on the first two coordinates, so decide() sees k = 2:
-    # refuse an over-budget q before building q+1 elements p1^a p2^t.
-    check_family([n[:2] for n in normals], 2, args.q)
     B = [prod(p**e for p, e in zip(primes, n)) for n in normals]
     decision = decide(QInput(args.q, tuple(B)))
     if decision.verdict is not Verdict.YES:

@@ -29,6 +29,8 @@ from operator import lshift, or_
 
 from .arith import GuardError
 
+# Bound on q^k, the points: the union mask, the Yes assignment and each
+# label column hold one bit or cell per point.
 POINT_ENUMERATION_LIMIT = 10**8
 # Bound on l q^(k+1), the bit work of building l zero masks at k >= 2.  It
 # bounds dense normals: the q classes at the second nonzero coordinate and
@@ -224,8 +226,24 @@ def _owner_column(owned, n) -> bytes:
     return total.to_bytes(n, "little")
 
 
+def check_budget(l, k, q):
+    """GuardError unless l normals of length k over F_q are within the point
+    budget (q^k) and the mask budget (l q^(k+1) at k >= 2).
+
+    Both charges grow with l and k, so a caller that may meet any family of
+    at most l normals of length at most k asks once, for (l, k, q).  A k at
+    or above the point limit's bit length is refused without computing q^k,
+    since any base >= 2 to that power exceeds the limit; past the point
+    test, q^(k+1) is at most q times the limit.  So no power grows large."""
+    if k >= POINT_ENUMERATION_LIMIT.bit_length() or q**k > POINT_ENUMERATION_LIMIT:
+        raise GuardError(f"q^k = {q}^{k} exceeds enumeration limit {POINT_ENUMERATION_LIMIT}")
+    if k > 1 and l * q ** (k + 1) > MASK_WORK_LIMIT:
+        raise GuardError(f"l q^(k+1) = {l} * {q}^{k + 1} exceeds mask work limit {MASK_WORK_LIMIT}")
+
+
 def check_family(normals, k, q):
-    """Normals of length k, nonzero mod q, within the point and mask budgets.
+    """Normals of length k, nonzero mod q, within the budgets of
+    check_budget for len(normals) of them.
 
     A plain loop, not a generator per normal: the oracle sweep checks
     thousands of families of a few short normals."""
@@ -237,12 +255,7 @@ def check_family(normals, k, q):
                 break
         else:
             raise ValueError(f"normal {n} is zero mod q = {q}")
-    if q**k > POINT_ENUMERATION_LIMIT:
-        raise GuardError(f"q^k = {q}^{k} exceeds enumeration limit {POINT_ENUMERATION_LIMIT}")
-    if k > 1 and len(normals) * q ** (k + 1) > MASK_WORK_LIMIT:
-        raise GuardError(
-            f"l q^(k+1) = {len(normals)} * {q}^{k + 1} exceeds mask work limit {MASK_WORK_LIMIT}"
-        )
+    check_budget(len(normals), k, q)
 
 
 def covers(normals, k, q) -> CoveringResult:

@@ -25,7 +25,7 @@ from operator import mul
 
 from . import fqlinalg
 from .arith import integer_qth_root, odd_prime_flags
-from .covering import POINT_ENUMERATION_LIMIT, CoveringResult, GuardError, covers
+from .covering import CoveringResult, GuardError, check_budget, covers
 from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile, check_count,
                        check_q, hyperplanes_of)
 
@@ -248,19 +248,18 @@ def oracle_check_random(q, k_max, l_max, trials, seed):
 
     Raises ValueError if trials < 1, and GuardError if trials exceeds
     ORACLE_INSTANCE_LIMIT, if trials (q-1)^l_max, a bound on the Skalba
-    checks, exceeds ORACLE_ENUMERATION_LIMIT, or if q^k_max exceeds the
-    covering engine's POINT_ENUMERATION_LIMIT.  Each power is taken with
-    its exponent capped at the bit length of its limit, which any base >= 2
-    to that power exceeds, so the powers stay small and the outcome is the
-    same.
+    checks, exceeds ORACLE_ENUMERATION_LIMIT (its exponent capped at the
+    limit's bit length, which any base >= 2 to that power exceeds), or if
+    the largest instance the sweep can draw, l_max normals of length k_max,
+    is over the covering engine's budgets (covering.check_budget).  All of
+    these are raised before any instance is drawn.
     """
     _check_sizes(q, k_max, l_max)
     check_count("--trials", trials, ORACLE_INSTANCE_LIMIT)
-    check_limit, point_limit = ORACLE_ENUMERATION_LIMIT, POINT_ENUMERATION_LIMIT
-    if trials * (q - 1) ** min(l_max, check_limit.bit_length()) > check_limit:
-        raise GuardError(f"{trials} trials x (q-1)^{l_max} exceeds {check_limit} Skalba checks")
-    if q ** min(k_max, point_limit.bit_length()) > point_limit:
-        raise GuardError(f"q^k_max = {q}^{k_max} exceeds enumeration limit {point_limit}")
+    limit = ORACLE_ENUMERATION_LIMIT
+    if trials * (q - 1) ** min(l_max, limit.bit_length()) > limit:
+        raise GuardError(f"{trials} trials x (q-1)^{l_max} exceeds {limit} Skalba checks")
+    check_budget(l_max, k_max, q)
     rng = random.Random(seed)
 
     def instances():

@@ -694,7 +694,7 @@ def test_oracle_check_instance_budget(capsys):
 
 
 def test_oracle_check_random_point_budget(capsys, monkeypatch):
-    # q^k_max is refused before any instance is drawn, and written as a power
+    # q^k at k = k_max is refused before any instance is drawn, and written as a power
     def unchecked(q, instances):
         raise AssertionError("instances checked")
 
@@ -704,7 +704,7 @@ def test_oracle_check_random_point_budget(capsys, monkeypatch):
         "--mode", "random", "--trials", "1",
     )
     assert code == 2 and out == ""
-    assert err.strip() == "error: q^k_max = 3^1000000000 exceeds enumeration limit 100000000"
+    assert err.strip() == "error: q^k = 3^1000000000 exceeds enumeration limit 100000000"
 
 
 @pytest.mark.parametrize("mode", ["random", "exhaustive"])

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qresidue import criterion, fqlinalg
+from qresidue import covering, criterion, fqlinalg
 from qresidue.arith import is_probable_prime
 from qresidue.cli import main
-from qresidue.covering import GuardError, covers, synthesize_covering, uncovered_count
+from qresidue.covering import GuardError, check_family, covers, synthesize_covering, uncovered_count
 from qresidue.criterion import (
     ORACLE_ENUMERATION_LIMIT,
     ORACLE_INSTANCE_LIMIT,
@@ -271,22 +271,70 @@ def test_oracle_random_budget(monkeypatch):
             oracle_check_random(3, 1, 1, trials=trials, seed=0)
         assert refused.type is ValueError  # a usage error, not over budget
     for q, k_max in ((3, 17), (3, 10**9), (10007, 3)):  # q^k_max > 10^8 points
-        with pytest.raises(GuardError, match=rf"q\^k_max = {q}\^{k_max} "):
+        with pytest.raises(GuardError, match=rf"q\^k = {q}\^{k_max} "):
             oracle_check_random(q, k_max, 1, trials=1, seed=0)
 
 
-@pytest.mark.parametrize("limit, value, k_max, l_max, message", [
-    ("POINT_ENUMERATION_LIMIT", 10**9, 19, 1, r"q\^k_max = 3\^19 exceeds enumeration limit 1000000000"),
-    ("ORACLE_ENUMERATION_LIMIT", 10**8, 1, 27, r"1 trials x \(q-1\)\^27 exceeds 100000000 Skalba"),
-], ids=["points", "checks"])
-def test_oracle_random_caps_follow_a_raised_limit(monkeypatch, limit, value, k_max, l_max, message):
-    # each cap follows its limit: an exponent cap fixed for today's limits
-    # (3^17 > 10^8, 2^24 > 10^7) would let these raised ones through
-    assert 3**19 > 10**9 > 3**17 and 2**27 > 10**8 > 2**24
-    monkeypatch.setattr(criterion, limit, value)
+@pytest.mark.parametrize("seed", range(10))
+def test_oracle_random_mask_budget_is_refused_before_any_draw(monkeypatch, seed):
+    # both sweeps are under the point budget, but their largest instance is
+    # over the mask budget: l q^(k+1) = 97^5 and 2 * 1999^3 exceed 5 * 10^9.
+    # Whether a draw reaches that instance depends on the seed; the refusal
+    # must not.
+    _no_sweep(monkeypatch)
+    for q, k_max, l_max, trials in ((97, 4, 1, 3), (1999, 2, 2, 2)):
+        with pytest.raises(GuardError, match=rf"l q\^\(k\+1\) = {l_max} \* {q}\^{k_max + 1} "
+                                             r"exceeds mask work limit"):
+            oracle_check_random(q, k_max, l_max, trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("module, limit, value, k_max, l_max, message", [
+    (covering, "POINT_ENUMERATION_LIMIT", 10**9, 19, 1,
+     r"q\^k = 3\^19 exceeds enumeration limit 1000000000"),
+    (criterion, "ORACLE_ENUMERATION_LIMIT", 10**8, 1, 27,
+     r"1 trials x \(q-1\)\^27 exceeds 100000000 Skalba"),
+    (covering, "MASK_WORK_LIMIT", 10**6, 12, 1,
+     r"l q\^\(k\+1\) = 1 \* 3\^13 exceeds mask work limit 1000000"),
+], ids=["points", "checks", "mask"])
+def test_oracle_random_caps_follow_a_raised_limit(monkeypatch, module, limit, value, k_max,
+                                                  l_max, message):
+    # each refusal follows its limit: an exponent cap fixed for today's
+    # limits (3^17 > 10^8, 2^24 > 10^7) would let the raised ones through,
+    # and the sweep reads the lowered mask limit where covering keeps it
+    # (3^12 points are admitted, 3^13 bits of mask work are not)
+    assert 3**19 > 10**9 > 3**17 and 2**27 > 10**8 > 2**24 and 3**13 > 10**6 > 3**12
+    monkeypatch.setattr(module, limit, value)
     _no_sweep(monkeypatch)
     with pytest.raises(GuardError, match=message):
         oracle_check_random(3, k_max, l_max, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_oracle_random_is_refused_up_front_iff_its_largest_instance_is(monkeypatch, q):
+    # with small engine budgets, a random sweep is refused before any draw,
+    # with the same message, exactly when check_family refuses l_max all-ones
+    # normals of length k_max; an admitted sweep then meets no over-budget
+    # instance.  The limits leave both outcomes at each q.
+    monkeypatch.setattr(covering, "POINT_ENUMERATION_LIMIT", 100)
+    monkeypatch.setattr(covering, "MASK_WORK_LIMIT", 400)
+    compare = criterion._compare_routes
+    outcomes = set()
+    for k_max, l_max in product(range(1, 5), repeat=2):
+        try:
+            check_family([(1,) * k_max] * l_max, k_max, q)
+        except GuardError as refused:
+            outcomes.add("refused")
+            _no_sweep(monkeypatch)
+            with pytest.raises(GuardError) as swept:
+                oracle_check_random(q, k_max, l_max, trials=20, seed=0)
+            assert str(swept.value) == str(refused)
+            monkeypatch.setattr(criterion, "_compare_routes", compare)
+            continue
+        outcomes.add("admitted")
+        for seed in range(20):
+            checked, disagreements = oracle_check_random(q, k_max, l_max, trials=20, seed=seed)
+            assert checked == 20 and disagreements == []
+    assert outcomes == {"refused", "admitted"}
 
 
 def test_oracle_budgets_admit_sweeps_at_the_limit(monkeypatch):
