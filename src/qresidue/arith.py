@@ -276,21 +276,26 @@ def coprime_base(ns) -> list[int]:
 
 
 def integer_qth_root(n: int, q: int) -> int | None:
-    """Exact q-th root of n >= 1, or None if n is not a perfect q-th power."""
+    """Exact q-th root of n >= 1, or None if n is not a perfect q-th power.
+
+    Integer Newton from x = 2^ceil(bitlen(n) / q), above r = n^(1/q), ends at
+    floor(r), so one test x^q == n settles it.  Each step gives
+    y = floor(((q-1) x + n / x^(q-1)) / q), the inner floor being absorbed
+    as (q-1) x is an integer.  By AM-GM that mean is at least r, so
+    y >= floor(r); and while x > r, n / x^(q-1) < x makes y < x.  So the
+    steps fall strictly to floor(r), where y >= x stops them.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if q < 2:
         raise ValueError("q must be >= 2")
     if n == 1:
         return 1
-    # Newton iteration on integers, then exact verification
     x = 1 << ((n.bit_length() + q - 1) // q)
     while True:
         y = ((q - 1) * x + n // x ** (q - 1)) // q
         if y >= x:
             break
         x = y
-    while x**q > n:
-        x -= 1
     return x if x**q == n else None
 

@@ -42,7 +42,8 @@ TWIST_ORBIT_LIMIT = 10**5
 # the text cut from it, then the text and the bytes written).
 ASSIGNMENT_TEXT_LIMIT = 6 * 10**7
 # Bound on synthesize --k: the fixture prints k primes and q+1 normals of
-# length k, and the first 10^3 odd primes take about 20 ms to find.
+# length k.  Finding the first 10^3 odd primes takes 0.2-0.4 ms (timeit, 2-vCPU
+# VM, Python 3.11.7), so the bound is on the output, not on that search.
 SYNTHESIZE_K_LIMIT = 10**3
 
 
@@ -106,9 +107,10 @@ def _render_assignment(covering, head, mid, sep):
     The entries are one bytearray whose byte columns are written by
     extended-slice assignments.  The buffer starts as the origin's entry and
     takes the coordinates from the last: it is repeated q times, and copy d
-    gets digit d in the column of the coordinate.  Byte t of the index is
-    the covering's label column t under the NUL-padded decimal indices.  Then
-    the origin's entry and the last separator are cut out, and the NULs too
+    gets digit d in the column of the coordinate.  Then the covering's
+    write_labels writes the NUL-padded decimal indices over each entry's
+    index, still the origin's, label 0 (see its precondition).  Last, the
+    origin's entry and the last separator are cut out, and the NULs too
     when q > 10 or l > 10: only then is a key or an index padded.
     """
     q, k, n, l = covering.q, covering.k, covering.q**covering.k, len(covering.normals)
@@ -126,9 +128,7 @@ def _render_assignment(covering, head, mid, sep):
         out *= q
         for t in range(step - 1):
             out[at + t :: width] = b"".join([key[t : t + 1] * run for key in keys])
-    at = width - len(sep) - len(labels[0])
-    for t, column in enumerate(covering.label_columns(labels)):
-        out[at + t :: width] = column
+    covering.write_labels(labels, out, width - len(sep) - len(labels[0]), width)
     del out[:width], out[-len(sep) :]  # the origin's entry and the last separator
     if len(keys[0]) > 1 or len(labels[0]) > 1:  # some padding: q > 10 or l > 10
         # one statement each, so that at most two copies of the text are alive

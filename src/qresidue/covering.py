@@ -15,12 +15,13 @@ the OR of its masks has all q^k bits set; its lexicographically first gap is
 the lowest zero bit of the OR, and the number of uncovered points is q^k
 minus the popcount (uncovered_count ORs one mask in at a time).  The Yes
 assignment lists, in the same order, the index of the first normal whose
-hyperplane holds each nonzero point.  Only CoveringResult.label_columns
-reads it off the masks.  It numbers the normals that own a point, builds
-one owner column (one byte per point, its owner's number) from the bit
-planes of those numbers, and translates that column once per byte of a
-label: the library's index array takes 4-byte labels, the CLI's text its
-decimal ones.
+hyperplane holds each nonzero point.  Only CoveringResult.write_labels
+reads it off the masks, into a buffer its caller lays out.  It numbers the
+normals that own a point, builds one owner column (one byte per point, its
+owner's number) from the bit planes of those numbers, and translates that
+column once per label byte that some owner's label has nonzero, written with
+one strided slice assignment: the library's index array takes 4-byte
+labels, the CLI's text its decimal ones.
 """
 
 import sys
@@ -30,7 +31,7 @@ from operator import lshift, or_
 from .arith import GuardError
 
 # Bound on q^k, the points: the union mask, the Yes assignment and each
-# label column hold one bit or cell per point.
+# owner and label column hold one bit or cell per point.
 POINT_ENUMERATION_LIMIT = 10**8
 # Bound on l q^(k+1), the bit work of building l zero masks at k >= 2.  It
 # bounds dense normals: the q classes at the second nonzero coordinate and
@@ -101,13 +102,14 @@ def zero_mask(normal, q) -> int:
 
 
 def projective_class(normal, q) -> tuple[int, ...]:
-    """The multiple of a normal, nonzero mod q, whose first nonzero entry is
-    1.  Normals of one class have one hyperplane."""
+    """The multiple of a normal whose first nonzero entry is 1.  Normals of
+    one class have one hyperplane.  A normal that is zero mod q, the empty
+    one among them, is a ValueError."""
     for lead in normal:
         if lead % q:
-            break
-    scale = pow(lead, -1, q)
-    return tuple([c * scale % q for c in normal])
+            scale = pow(lead, -1, q)
+            return tuple([c * scale % q for c in normal])
+    raise ValueError(f"normal {tuple(normal)} is zero mod q = {q}")
 
 
 def _point(j, k, q) -> tuple[int, ...]:
@@ -130,7 +132,7 @@ class CoveringResult:
     order) whose hyperplane contains the point.  Both are derived on first
     use from the zero masks, which are built at most once, one per
     projective class of the normals (see `projective_classes`): the assignment
-    through `label_columns`, which the CLI's text of it reads too.
+    through `write_labels`, which writes the CLI's text of it too.
     """
 
     def __init__(self, normals, k, q):
@@ -169,15 +171,20 @@ class CoveringResult:
             return None
         cells = bytearray(4 * self.q**self.k)  # one native 32-bit cell per point
         labels = [i.to_bytes(4, sys.byteorder) for i in range(len(self.normals))]
-        for t, column in enumerate(self.label_columns(labels)):
-            cells[t::4] = column
+        self.write_labels(labels, cells, 0, 4)
         return memoryview(cells).cast("I")[1:].toreadonly()  # entry 0 is the origin
 
-    def label_columns(self, labels):
-        """Byte columns of the assignment under labels, one bytes label per
-        normal, all of one length: column t has one byte per point of F_q^k in
-        lexicographic order, the origin first, byte t of the label of the
-        first normal whose hyperplane holds the point (0 where none does).
+    def write_labels(self, labels, out, at, stride):
+        """Write the assignment under labels, one bytes label per normal, all
+        of one length, into out: byte t of the label of the first normal whose
+        hyperplane holds point j of F_q^k (lexicographic order, the origin
+        j = 0), or 0 where none does, goes to out[at + t + j * stride].
+
+        Precondition: out already holds 0 at every out[at + t :: stride] for
+        which byte t of each owner's label is 0, since no column is built or
+        written for such a t.  The library's cells start zeroed.  The CLI's
+        text starts with label 0, NUL but for its last byte, at every entry,
+        and the last byte, a digit in every label, is never skipped.
 
         Normal i owns mask i & ~(masks 0..i-1), the points no earlier normal
         holds.  One walk numbers the normals that own a point 1, 2, ... in
@@ -204,10 +211,10 @@ class CoveringResult:
                 table = bytes([0, *[label[t] for label, _ in group]]).rstrip(b"\0")
                 if table:
                     parts.append(column.translate(table.ljust(256, b"\0")))
-            if len(parts) == 1:
-                yield parts[0]
-            else:  # disjoint parts, or none: a column of zeros
-                yield sum(int.from_bytes(part, "little") for part in parts).to_bytes(n, "little")
+            if len(parts) > 1:  # disjoint parts: their sum is their union
+                parts = [sum(int.from_bytes(part, "little") for part in parts).to_bytes(n, "little")]
+            if parts:  # none where every owner's byte t is 0, which out already holds
+                out[at + t :: stride] = parts[0]
 
 
 def _owner_column(owned, n) -> bytes:

@@ -138,7 +138,8 @@ def skalba_solve(profile: ResidueProfile, c) -> SkalbaCertificate | None:
     _twist_test) and m the index of its last nonzero entry, the free column
     at which g has its rref 1.  That is the first basis vector of Null(M(c))
     with nonzero coordinate sum that row-reducing M(c) itself would give.
-    The integer identity is verified exactly.
+    The integer identity is verified exactly: integer_qth_root returns a
+    root only when its q-th power is the product.
     """
     q = profile.q
     _check_c(profile.exponents, q, c)
@@ -150,7 +151,7 @@ def skalba_solve(profile: ResidueProfile, c) -> SkalbaCertificate | None:
     f = tuple(c[free] * gj * pow(cj, -1, q) % q for gj, cj in zip(g, c))
     total = prod(b ** (cj * fj % q) for b, cj, fj in zip(profile.qfree_values, c, f))
     root = integer_qth_root(total, q)
-    if root is None or root**q != total:
+    if root is None:
         raise RuntimeError(
             f"certificate product {total} is not an exact {q}-th power; "
             "this contradicts the covering criterion"

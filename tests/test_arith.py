@@ -327,6 +327,19 @@ def test_integer_qth_root_random():
             assert integer_qth_root(r**q + 1, q) ** q == r**q + 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+def test_integer_qth_root_next_to_a_power(q):
+    # Newton from above ends at the floor root, so r^q is found and its
+    # neighbours are not, up to r = 2^300
+    rng = random.Random(q)
+    roots = [2, 3, 2**300, 2**300 - 1, *(2**e + 1 for e in range(1, 300, 7)),
+             *(rng.randrange(2, 2**300) for _ in range(50))]
+    for r in roots:
+        assert integer_qth_root(r**q, q) == r
+        assert integer_qth_root(r**q - 1, q) is None
+        assert integer_qth_root(r**q + 1, q) is None
+
+
 def test_is_perfect_qth_power():
     # For odd q, n is a q-th power exactly when |n| is, with the root's sign
     # that of n; build_profile's trivial certificate rests on this test.

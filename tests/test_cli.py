@@ -493,7 +493,7 @@ def _assert_yes_output_matches_the_dict_reference(capsys, monkeypatch, q, elemen
     covering = criterion.decide(profiles.QInput(q, tuple(elements))).covering
     expected = _reference_covering(covering)
 
-    # the CLI writes the text from the covering's label columns and never
+    # the CLI writes the text with the covering's write_labels and never
     # builds the index array that covering.assignment reads
     def unbuilt(self):
         raise AssertionError("the index array was built")
@@ -610,22 +610,22 @@ def test_rendered_wide_indices_match_the_per_point_reference(copies):
 
 def test_yes_assignment_output_budget(capsys, monkeypatch):
     # q = 3, k = 13 is admitted; k = 14 (4.8e6 points) is refused before any
-    # label column is built.  The bound is W (3^k - 1), W the entry width of
+    # label is written.  The bound is W (3^k - 1), W the entry width of
     # the mode: k digits, k - 1 commas, a 2-digit index, and 7 bytes of
     # indent, ": " and newline in text, 6 of quotes, '": ' and ", " in JSON.
     built = []
-    label_columns = covering.CoveringResult.label_columns
+    write_labels = covering.CoveringResult.write_labels
 
-    def recorded(self, labels):
+    def recorded(self, *args):
         built.append(self.k)
-        return label_columns(self, labels)
+        return write_labels(self, *args)
 
     def decide_pencil(k, *mode):
         p = criterion.first_odd_primes(3, k)
         elements = [p[0], p[1], p[0] * p[1], p[0] * p[1] ** 2, *p[2:]]
         return run(capsys, *mode, "decide", "--q", "3", "--set", ",".join(map(str, elements)))
 
-    monkeypatch.setattr(covering.CoveringResult, "label_columns", recorded)
+    monkeypatch.setattr(covering.CoveringResult, "write_labels", recorded)
     code, out, _ = decide_pencil(13, "--json")
     # the envelope up to its 1.6e6-entry assignment
     head = out.partition(', "covering": ')[0] + "}}"
@@ -653,6 +653,35 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch, error):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:") and "self-check failed" in err
+
+
+def test_failed_cli_self_checks_exit_3(capsys, monkeypatch):
+    # certificate's Skalba solve and synthesize's covering check of its own set
+    monkeypatch.setattr(criterion, "skalba_solve", lambda profile, c: None)
+    code, out, err = run(capsys, "certificate", "--q", "3", "--set", "2,3,6,12")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: Skalba condition failed on a Yes-instance\n"
+    no = criterion.decide(profiles.QInput(3, (2, 3, 6)))
+    assert no.verdict is criterion.Verdict.NO
+    monkeypatch.setattr(cli, "decide", lambda qinput: no)
+    code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: synthesized set failed its own covering check\n"
+
+
+def test_oracle_disagreements_exit_1(capsys, monkeypatch):
+    # an oracle that negates every answer disagrees on every instance
+    oracle = criterion.skalba_oracle
+    monkeypatch.setattr(criterion, "skalba_oracle", lambda M, q: not oracle(M, q))
+    argv = ("oracle-check", "--q", "3", "--k-max", "2", "--l-max", "2")
+    code, env, _ = run_json(capsys, *argv)
+    result = env["result"]
+    assert code == 1 and result["instances_checked"] == result["disagreements"] == 78
+    assert len(result["disagreeing_columns"]) == 10
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1 and "instances_checked: 78" in lines and "disagreements: 78" in lines
+    assert sum(line.startswith("  - ") for line in lines) == 10
 
 
 @pytest.mark.parametrize("cmd", ["scan", "census", "decide", "certificate"])

@@ -367,13 +367,51 @@ def test_assignment_of_the_q_257_pencil_crosses_the_owner_group_boundary():
     assert list(result.assignment) == expected
 
 
+def reference_owners(normals, k, q):
+    """The index of the first normal that holds each point, None where none does."""
+    return [next((i for i, n in enumerate(normals) if contains(n, v, q)), None)
+            for v in product(range(q), repeat=k)]
+
+
 def reference_label_columns(normals, k, q, labels, owners=None):
-    """label_columns point by point: byte t of the label of the point's owner
-    (by default the first normal that holds it), 0 where it has none."""
+    """The byte columns of write_labels point by point: byte t of the label of
+    the point's owner (by default the first normal that holds it), 0 where
+    it has none."""
     if owners is None:
-        owners = [next((i for i, n in enumerate(normals) if contains(n, v, q)), None)
-                  for v in product(range(q), repeat=k)]
+        owners = reference_owners(normals, k, q)
     return [bytes(0 if i is None else labels[i][t] for i in owners) for t in range(len(labels[0]))]
+
+
+def written_columns(result, labels):
+    """The byte columns write_labels writes into a zeroed buffer, one label a row."""
+    width = len(labels[0])
+    out = bytearray(width * result.q**result.k)
+    result.write_labels(labels, out, 0, width)
+    return [bytes(out[t::width]) for t in range(width)]
+
+
+def check_written_over_ff(result, labels, owners=None):
+    """write_labels into 0xFF bytes, two before each label and one after:
+    each label byte t that some owner's label has nonzero ends as the
+    reference column, and every other byte is still 0xFF.  Returns the
+    number of label bytes left unwritten."""
+    normals, k, q = result.normals, result.k, result.q
+    if owners is None:
+        owners = reference_owners(normals, k, q)
+    width, n = len(labels[0]), q**k
+    out = bytearray(b"\xff") * ((width + 3) * n)
+    result.write_labels(labels, out, 2, width + 3)
+    expected = reference_label_columns(normals, k, q, labels, owners)
+    used = {i for i in owners if i is not None}
+    skipped = 0
+    for t in range(width + 3):
+        column = bytes(out[t :: width + 3])
+        if 2 <= t < width + 2 and any(labels[i][t - 2] for i in used):
+            assert column == expected[t - 2]
+        else:
+            assert column == b"\xff" * n
+            skipped += 2 <= t < width + 2
+    return skipped
 
 
 def label_kinds(l):
@@ -399,10 +437,10 @@ def test_later_scalar_multiples_own_nothing(normals, k, q):
         first.setdefault(projective_class(n, q), i)
     assert set(assignment.values()) <= set(first.values())
     for labels in label_kinds(len(normals)):
-        assert list(result.label_columns(labels)) == reference_label_columns(normals, k, q, labels)
+        assert written_columns(result, labels) == reference_label_columns(normals, k, q, labels)
 
 
-def test_label_columns_of_an_uncovered_family_are_zero_off_the_union():
+def test_written_labels_of_an_uncovered_family_are_zero_off_the_union():
     # byte 0 where no normal holds the point, under both kinds of label; 11
     # or more normals make the decimal labels two digits wide
     rng = random.Random(83)
@@ -416,8 +454,9 @@ def test_label_columns_of_an_uncovered_family_are_zero_off_the_union():
         uncovered += 1
         for labels in label_kinds(len(normals)):
             expected = reference_label_columns(normals, k, q, labels)
-            assert list(result.label_columns(labels)) == expected
+            assert written_columns(result, labels) == expected
             assert 0 in expected[-1]
+            check_written_over_ff(result, labels)
     assert uncovered >= 10
     # the q = 257 pencil without its last line: 257 owners in two groups
     q = 257
@@ -428,7 +467,35 @@ def test_label_columns_of_an_uncovered_family_are_zero_off_the_union():
     assert not result.covered
     for labels in label_kinds(len(normals)):
         expected = reference_label_columns(normals, 2, q, labels, owners)
-        assert list(result.label_columns(labels)) == expected
+        assert written_columns(result, labels) == expected
+        check_written_over_ff(result, labels, owners)
+
+
+def test_write_labels_leaves_label_bytes_no_owner_uses():
+    # Only the first four normals own a point, so with 12 normals the tens
+    # byte of every owner's decimal label is NUL; with 4-byte labels bytes
+    # 1-3 are 0 for every owner below 256.
+    pencil = synthesize_covering(2, 3)
+    padded = CoveringResult(pencil + [(2, 0), (0, 2), (2, 2), (2, 1)] * 2, 2, 3)
+    assert padded.covered and len(padded.normals) == 12
+    assert [check_written_over_ff(padded, labels) for labels in label_kinds(12)] == [3, 1]
+    # owners 0-257 of the q = 257 pencil: byte 1 is nonzero only in the
+    # second group of 255, bytes 2 and 3 in none; the decimal labels are
+    # three digits wide and each byte is used
+    q = 257
+    result = CoveringResult(synthesize_covering(2, q), 2, q)
+    owners = [pencil_owner(x1, x2, q) for x1, x2 in product(range(q), repeat=2)]
+    assert [check_written_over_ff(result, labels, owners) for labels in label_kinds(q + 1)] == [2, 0]
+
+
+@pytest.mark.parametrize("normal", [(0, 0), (3, 6), ()])
+def test_projective_class_rejects_a_normal_zero_mod_q(normal):
+    with pytest.raises(ValueError, match=re.escape(f"normal {normal} is zero mod q = 3")):
+        covering.projective_class(normal, 3)
+
+
+def test_projective_class_scales_the_first_entry_nonzero_mod_q_to_one():
+    assert covering.projective_class((0, 3, 2, 4), 3) == (0, 0, 1, 2)
 
 
 def test_empty_family_witness_is_origin():
