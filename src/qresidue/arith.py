@@ -289,8 +289,6 @@ def integer_qth_root(n: int, q: int) -> int | None:
         raise ValueError("n must be >= 1")
     if q < 2:
         raise ValueError("q must be >= 2")
-    if n == 1:
-        return 1
     x = 1 << ((n.bit_length() + q - 1) // q)
     while True:
         y = ((q - 1) * x + n // x ** (q - 1)) // q

@@ -242,10 +242,7 @@ def cmd_census(args):
 
 
 def cmd_synthesize(args):
-    if args.k < 2:
-        raise UsageError("k must be >= 2")
-    if args.k > SYNTHESIZE_K_LIMIT:
-        raise GuardError(f"k = {args.k} exceeds limit {SYNTHESIZE_K_LIMIT}")
+    check_count("--k", args.k, SYNTHESIZE_K_LIMIT, 2)
     if args.primes is not None:
         primes = args.primes
         if len(primes) < args.k:

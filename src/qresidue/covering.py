@@ -9,29 +9,32 @@ forwards, at a cost that follows the normal's nonzero coordinates: the
 coordinates after the last nonzero one fill one block of ones, a free
 coordinate lays q copies of the pattern so far side by side, and a nonzero
 one gathers each class of the suffix as one C-level sum of q shifted
-classes.  Scalar multiples of a normal have its hyperplane, so
-CoveringResult builds one mask per projective class.  A family covers F_q^k iff
-the OR of its masks has all q^k bits set; its lexicographically first gap is
-the lowest zero bit of the OR, and the number of uncovered points is q^k
-minus the popcount (uncovered_count ORs one mask in at a time).  The Yes
-assignment lists, in the same order, the index of the first normal whose
-hyperplane holds each nonzero point.  Only CoveringResult.write_labels
-reads it off the masks, into a buffer its caller lays out.  It numbers the
-normals that own a point, builds one owner column (one byte per point, its
+classes.  Scalar multiples of a normal have its hyperplane, so one mask
+is built per projective class.  Both covers and uncovered_count read one
+walk, _owned: in input order, each class owns the points of its mask that
+no earlier class holds, and the walk keeps the gaps, the points nothing
+holds yet, and stops building masks once there are none.  A family covers
+F_q^k iff no gap is left; its lexicographically first gap is the lowest
+set bit of the gaps, and the number of uncovered points is q^k minus the
+owned points (uncovered_count holds the gaps and one mask at a time).  The
+Yes assignment lists, in the same order, the index of the first normal
+whose hyperplane holds each nonzero point: its owner.  Only
+CoveringResult.write_labels reads it off the owned points, into a buffer
+its caller lays out.  It builds one owner column (one byte per point, its
 owner's number) from the bit planes of those numbers, and translates that
-column once per label byte that some owner's label has nonzero, written with
-one strided slice assignment: the library's index array takes 4-byte
+column once per label byte that some owner's label has nonzero, written
+with one strided slice assignment: the library's index array takes 4-byte
 labels, the CLI's text its decimal ones.
 """
 
 import sys
 from functools import cached_property, reduce
-from operator import lshift, or_
+from operator import itemgetter, lshift, or_
 
 from .arith import GuardError
 
-# Bound on q^k, the points: the union mask, the Yes assignment and each
-# owner and label column hold one bit or cell per point.
+# Bound on q^k, the points: the gaps, each owned part, the Yes assignment and
+# each owner and label column hold one bit or cell per point.
 POINT_ENUMERATION_LIMIT = 10**8
 # Bound on l q^(k+1), the bit work of building l zero masks at k >= 2.  It
 # bounds dense normals: the q classes at the second nonzero coordinate and
@@ -39,9 +42,11 @@ POINT_ENUMERATION_LIMIT = 10**8
 # most one nonzero coordinate before its last one sums class 0 alone, q
 # shifted blocks making its q^k bits: about half the bit work.  On a 2-vCPU
 # VM with Python 3.11.7, 34 dense masks at q = 3, k = 16 (4.4e9) take
-# 0.6-0.9 s and 231 MB in covers, 0.8-1.3 s and 49 MB in uncovered_count
-# (one mask at a time; the allocator returns and refaults freed pages), and
-# 308 pencil masks at q = 307, k = 2 (8.9e9, over the limit) take 0.3-0.5 s.
+# 0.8-1.4 s and 235 MB in covers, which keeps each mask's owned part, and
+# 0.8-1.3 s and 49 MB in uncovered_count, which keeps none.  Each mask is
+# freed once its owned part is cut, and the allocator returns and refaults
+# the freed pages.  308 pencil masks at q = 307, k = 2 (8.9e9, over the
+# limit) take 0.2-0.4 s.
 MASK_WORK_LIMIT = 5 * 10**9
 
 
@@ -77,8 +82,6 @@ def zero_mask(normal, q) -> int:
     class 0, and the free coordinates before it repeat the final mask.  At
     k = 1 the hyperplane is the origin alone.
     """
-    if len(normal) == 1 and normal[0] % q:
-        return 1
     nonzero = [i for i, c in enumerate(normal) if c % q]
     if not nonzero:
         raise ValueError(f"normal {tuple(normal)} is zero mod q = {q}")
@@ -121,6 +124,30 @@ def _point(j, k, q) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def _owned(classes, q, n):
+    """Yield (i, own) for each class i of classes, in input order, that holds
+    a point no earlier class holds; own is the mask of those points, among
+    the n = q^k points of F_q^k.
+
+    The owned parts are disjoint, and with the gaps, the points no class
+    holds, they make up F_q^k.  One zero mask is built per distinct class (a
+    later copy owns nothing), and none once the gaps are empty: the classes
+    after a full cover own nothing either.  The walk holds the gaps, and an
+    owned part only until the caller resumes it, so a caller that keeps no
+    owned part (uncovered_count) holds the gaps and one mask at a time."""
+    gaps, seen = (1 << n) - 1, set()
+    for i, c in enumerate(classes):
+        if not gaps:
+            return
+        if c not in seen:
+            seen.add(c)
+            own = zero_mask(c, q) & gaps
+            if own:
+                gaps ^= own
+                yield i, own
+                del own  # a caller that kept no copy frees it before the next mask
+
+
 class CoveringResult:
     """Whether the hyperplanes of some normals cover F_q^k, with an assignment
     or a witness.
@@ -129,10 +156,12 @@ class CoveringResult:
     first uncovered point, is None when covered; `assignment` is None when
     not.  Otherwise it is a read-only memoryview of q^k - 1 normal indices,
     one per nonzero point in lexicographic order: the first normal (in input
-    order) whose hyperplane contains the point.  Both are derived on first
-    use from the zero masks, which are built at most once, one per
-    projective class of the normals (see `projective_classes`): the assignment
-    through `write_labels`, which writes the CLI's text of it too.
+    order) whose hyperplane contains the point.  All three read one walk of
+    the projective classes (see `projective_classes` and `_owned`), run at
+    most once and kept as `owners`, the points each normal owns, and `gaps`,
+    the points none holds.  The walk stops at a full cover, so a normal after
+    it builds no mask.  The assignment is written by `write_labels`, which
+    writes the CLI's text of it too.
     """
 
     def __init__(self, normals, k, q):
@@ -141,7 +170,7 @@ class CoveringResult:
         # Each hyperplane holds q^(k-1) points, the origin among them, so the
         # hyperplanes of q classes leave at least q - 1 points uncovered.
         self.covered = (len(self.normals) > q and len(set(self.projective_classes)) > q
-                        and self.union == (1 << q**k) - 1)
+                        and not self.gaps)
 
     @cached_property
     def projective_classes(self) -> list[tuple[int, ...]]:
@@ -149,21 +178,20 @@ class CoveringResult:
         return [projective_class(n, self.q) for n in self.normals]
 
     @cached_property
-    def masks(self) -> list[int]:
-        # one zero mask per class: a later multiple reuses it, so owns no point
-        built = {c: zero_mask(c, self.q) for c in dict.fromkeys(self.projective_classes)}
-        return [built[c] for c in self.projective_classes]
+    def owners(self) -> list[tuple[int, int]]:
+        """(i, own) for each normal i that owns a point, as `_owned` yields them."""
+        return list(_owned(self.projective_classes, self.q, self.q**self.k))
 
     @cached_property
-    def union(self) -> int:
-        return reduce(or_, self.masks, 0)
+    def gaps(self) -> int:
+        """The mask of the points no normal holds: all but the owned ones."""
+        return (1 << self.q**self.k) - 1 - sum(own for _, own in self.owners)
 
     @cached_property
     def witness(self) -> tuple[int, ...] | None:
         if self.covered:
             return None
-        gap = ~self.union & (self.union + 1)
-        return _point(gap.bit_length() - 1, self.k, self.q)
+        return _point((self.gaps & -self.gaps).bit_length() - 1, self.k, self.q)
 
     @cached_property
     def assignment(self) -> memoryview | None:
@@ -186,29 +214,22 @@ class CoveringResult:
         text starts with label 0, NUL but for its last byte, at every entry,
         and the last byte, a digit in every label, is never skipped.
 
-        Normal i owns mask i & ~(masks 0..i-1), the points no earlier normal
-        holds.  One walk numbers the normals that own a point 1, 2, ... in
-        input order (a later scalar multiple owns none), and each group of
-        255 of them gets one owner column: each point's number in its group,
-        0 where no owner of the group holds it (see _owner_column).  Column t
-        is then one translate of each owner column, number i to byte t of
-        owner i's label, and the groups' columns are added, as their points
-        are disjoint.
+        The owners are read off `owners`, the one walk that also settles
+        `covered`: normal i owns the points no earlier normal holds, and no
+        normal after a full cover owns any.  They are numbered 1, 2, ... in
+        input order, and each group of 255 of them gets one owner column:
+        each point's number in its group, 0 where no owner of the group holds
+        it (see _owner_column).  Column t is then one translate of each owner
+        column, number i to byte t of owner i's label, and the groups'
+        columns are added, as their points are disjoint.
         """
         n = self.q**self.k
-        remaining = (1 << n) - 1
-        owners = []  # (label, owned points) per normal that owns a point
-        for label, mask in zip(labels, self.masks):
-            own = mask & remaining
-            if own:
-                remaining ^= own
-                owners.append((label, own))
-        groups = [owners[g : g + 255] for g in range(0, len(owners), 255)]
+        groups = [self.owners[g : g + 255] for g in range(0, len(self.owners), 255)]
         columns = [_owner_column([own for _, own in group], n) for group in groups]
         for t in range(len(labels[0])):
             parts = []
             for group, column in zip(groups, columns):
-                table = bytes([0, *[label[t] for label, _ in group]]).rstrip(b"\0")
+                table = bytes([0, *[labels[i][t] for i, _ in group]]).rstrip(b"\0")
                 if table:
                     parts.append(column.translate(table.ljust(256, b"\0")))
             if len(parts) > 1:  # disjoint parts: their sum is their union
@@ -279,14 +300,14 @@ def covers(normals, k, q) -> CoveringResult:
 def uncovered_count(normals, k, q) -> int:
     """Number of vectors of F_q^k lying on none of the hyperplanes.
 
-    Only the union is needed, so each class's mask is ORed in as it is built
-    and dropped: at most the union and one mask are alive at a time, where
-    CoveringResult keeps every mask for its assignment."""
+    q^k minus the points the normals own, read off the walk of `_owned` as
+    it goes: only the gaps and one mask are alive at a time, where
+    CoveringResult keeps every owned part for its assignment, and no mask is
+    built after a full cover."""
     check_family(normals, k, q)
-    union = 0
-    for c in dict.fromkeys(projective_class(n, q) for n in normals):
-        union |= zero_mask(c, q)
-    return q**k - union.bit_count()
+    owned = _owned([projective_class(n, q) for n in normals], q, q**k)
+    # map holds no owned part past its count, as a loop variable would
+    return q**k - sum(map(int.bit_count, map(itemgetter(1), owned)))
 
 
 def synthesize_covering(k, q) -> list[tuple[int, ...]]:

@@ -51,9 +51,9 @@ from math import prod
 from operator import itemgetter
 
 from .arith import is_probable_prime, odd_prime_flags
-from .covering import GuardError, uncovered_count
+from .covering import uncovered_count
 from .fqlinalg import rref
-from .profiles import QInput, check_q, piece_exponents
+from .profiles import QInput, check_count, check_q, piece_exponents
 
 # Bound on the bound of a scan or census, and of primes_up_to: the sieve holds
 # bound / 2 flags at once.  On a 2-vCPU VM with Python 3.11, at 10^7 and
@@ -98,7 +98,7 @@ def primes_up_to(bound):
     bound over SCAN_BOUND_LIMIT is a GuardError before any sieving."""
     if bound < 2:
         return
-    _check_bound(bound, 2)
+    check_count("--bound", bound, SCAN_BOUND_LIMIT, 2)
     yield 2
     yield from compress(range(3, bound + 1, 2), odd_prime_flags(bound))
 
@@ -138,15 +138,6 @@ def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
     splits = p % q == 1
     per_element = tuple((b, not splits or _euler(b, p, q) == 1) for b in B)
     return PrimeCheckReport(p, splits, per_element)
-
-
-def _check_bound(bound, minimum):
-    """The scan budget: minimum <= bound <= SCAN_BOUND_LIMIT; the message of
-    a bound below minimum names scan's and census's flag."""
-    if bound < minimum:
-        raise ValueError(f"--bound must be >= {minimum}")
-    if bound > SCAN_BOUND_LIMIT:
-        raise GuardError(f"bound {bound} exceeds scan limit {SCAN_BOUND_LIMIT}")
 
 
 def _split(B, q):
@@ -340,7 +331,7 @@ def _reply(children, i, cap):
 
 def find_counterexample_prime(B, q, bound) -> int | None:
     """First prime <= bound (outside the excluded set) where no element is a residue."""
-    _check_bound(bound, 2)
+    check_count("--bound", bound, SCAN_BOUND_LIMIT, 2)
     B, vectors = _split(B, q)
     plan = _symbol_plan(B, vectors, q)
     if plan is None:  # no prime fails, so none is sieved
@@ -367,7 +358,7 @@ def _density(vectors, q):
 def census(B, q, bound) -> DensityReport:
     """Count the primes <= bound, scan the split ones, and tabulate failure
     density vs the prediction."""
-    _check_bound(bound, 100)
+    check_count("--bound", bound, SCAN_BOUND_LIMIT, 100)
     B, vectors = _split(B, q)
     plan = _symbol_plan(B, vectors, q)
     # first, so that a GuardError comes before the scan, not after it

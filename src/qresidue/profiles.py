@@ -25,11 +25,12 @@ def check_q(q):
     return q
 
 
-def check_count(flag, count, limit=inf):
-    """A ValueError if count < 1 and a GuardError if count > limit, each
-    naming the flag: the rule of --twists, --trials, --k-max and --l-max."""
-    if count < 1:
-        raise ValueError(f"{flag} must be >= 1")
+def check_count(flag, count, limit=inf, minimum=1):
+    """A ValueError if count < minimum and a GuardError if count > limit,
+    each naming the flag: the rule of --twists, --trials, --k-max, --l-max,
+    --bound and --k."""
+    if count < minimum:
+        raise ValueError(f"{flag} must be >= {minimum}")
     if count > limit:
         raise GuardError(f"{flag} {count} exceeds limit {limit}")
 

@@ -106,7 +106,7 @@ def test_scan(capsys):
 def test_scan_bound_guard(capsys):
     for command in ("scan", "census"):
         code, out, err = run(capsys, command, "--q", "3", "--set", "2", "--bound", str(10**8))
-        assert code == 2 and out == "" and "exceeds scan limit" in err
+        assert (code, out, err) == (2, "", "error: --bound 100000000 exceeds limit 10000000\n")
     code, out, err = run(capsys, "scan", "--q", "3", "--set", "2", "--bound", "1")
     assert code == 2 and ">= 2" in err
     code, out, err = run(capsys, "census", "--q", "3", "--set", "2", "--bound", "99")
@@ -180,7 +180,7 @@ def test_synthesize_k_budget(capsys, monkeypatch):
     monkeypatch.setattr(criterion, "first_odd_primes", unsearched)
     code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "1001")
     assert code == 2 and out == ""
-    assert err.strip() == "error: k = 1001 exceeds limit 1000"
+    assert err.strip() == "error: --k 1001 exceeds limit 1000"
 
 
 def test_synthesize_twists(capsys):
@@ -217,7 +217,7 @@ def test_list_usage_errors_name_their_flag(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("certificate", "--q", "3", "--set", "2,3,6,12", "--c", "1,1"),
      "--c must have 4 entries (one per deduplicated column)"),
-    (("synthesize", "--q", "3", "--k", "1"), "k must be >= 2"),
+    (("synthesize", "--q", "3", "--k", "1"), "--k must be >= 2"),
     (("synthesize", "--q", "3", "--k", "3", "--primes", "5,7"), "need at least 3 primes"),
     (("synthesize", "--q", "7", "--k", "2", "--twists", "all"),
      "(q-1)^l = 1679616 exceeds orbit limit; use --twists N"),

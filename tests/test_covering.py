@@ -1,11 +1,14 @@
 import random
 import re
 import tracemalloc
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 import pytest
 
 from qresidue import covering
+from qresidue.arith import integer_qth_root
 from qresidue.covering import (
     MASK_WORK_LIMIT,
     CoveringResult,
@@ -251,18 +254,23 @@ def test_zero_mask_rejects_a_normal_zero_mod_q(normal):
         zero_mask(normal, 3)
 
 
+def _transformed_pencil(q, k, rng):
+    """The pencil covering of F_q^k under a random invertible matrix: it covers."""
+    while True:
+        m = [[rng.randrange(q) for _ in range(k)] for _ in range(k)]
+        if rref(m, q)[1] == k:
+            break
+    return [
+        tuple(sum(m[i][j] * n[j] for j in range(k)) % q for i in range(k))
+        for n in synthesize_covering(k, q)
+    ]
+
+
 def _random_family(q, k, rng):
     """Random normals, half the time mixed into a transformed pencil so that it covers."""
     normals = []
     if k >= 2 and rng.random() < 0.5:
-        while True:
-            m = [[rng.randrange(q) for _ in range(k)] for _ in range(k)]
-            if rref(m, q)[1] == k:
-                break
-        normals = [
-            tuple(sum(m[i][j] * n[j] for j in range(k)) % q for i in range(k))
-            for n in synthesize_covering(k, q)
-        ]
+        normals = _transformed_pencil(q, k, rng)
     for _ in range(rng.randint(0, q + 2)):
         n = tuple(rng.randrange(q) for _ in range(k))
         if any(n):
@@ -298,25 +306,48 @@ def projective_class(normal, q):
     return tuple(x * inverse % q for x in normal)
 
 
-def test_scalar_multiples_share_one_mask(monkeypatch):
-    built = []
+def reference_walk(normals, k, q):
+    """The distinct projective classes of the normals in input order, up to
+    and including the one whose hyperplane completes a cover, if one does."""
+    held, walked = set(), []
+    for n in normals:
+        if len(held) == q**k:
+            break
+        c = projective_class(n, q)
+        if c not in walked:
+            walked.append(c)
+            held.update(v for v in product(range(q), repeat=k) if contains(c, v, q))
+    return walked
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The normals zero_mask is called with, in call order."""
+    calls = []
 
     def counted(normal, q):
-        built.append(normal)
+        calls.append(normal)
         return zero_mask(normal, q)
 
     monkeypatch.setattr(covering, "zero_mask", counted)
+    return calls
 
+
+def test_scalar_multiples_share_one_mask(built):
     def check(normals, k, q):
+        # one mask per projective class up to the cover, in input order, in
+        # each call: the multiples reuse it, and no class after it is built
+        walked = reference_walk(normals, k, q)
         built.clear()
         covered, witness, assignment = reference_covers(normals, k, q)
         result = covers(normals, k, q)
         assert (result.covered, result.witness) == (covered, witness)
         if covered:
             assert list(result.assignment) == list(assignment.values())
+        assert built == walked
+        built.clear()
         assert uncovered_count(normals, k, q) == reference_uncovered_count(normals, k, q)
-        # one mask per projective class and call, the multiples reuse it
-        assert len(built) == 2 * len({projective_class(n, q) for n in normals})
+        assert built == walked
 
     # 2 and 4 at q = 3 have exponent vectors (1, 0) and (2, 0): one hyperplane
     check([(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)], 2, 3)
@@ -540,7 +571,8 @@ def test_uncovered_count_matches_crapo_rota():
 
 
 def test_uncovered_count_matches_the_union_of_all_masks():
-    # streaming the OR one class at a time gives the popcount of the full union
+    # the walk's owned points, counted as it goes, are the popcount of the OR
+    # of every normal's zero mask
     rng = random.Random(61)
     for _ in range(300):
         q = rng.choice([3, 5, 7])
@@ -549,8 +581,36 @@ def test_uncovered_count_matches_the_union_of_all_masks():
                  for _ in range(rng.randint(0, 2 * q + 2)))
         normals = [n for n in drawn if any(x % q for x in n)]
         normals += [tuple(2 * x for x in n) for n in normals[:2]]  # multiples share a class
-        expected = q**k - CoveringResult(normals, k, q).union.bit_count()
+        expected = q**k - reduce(or_, [zero_mask(n, q) for n in normals], 0).bit_count()
         assert uncovered_count(normals, k, q) == expected, (normals, k, q)
+
+
+@pytest.mark.parametrize("q, k", [(3, 4), (5, 3), (7, 3)])
+def test_no_mask_is_built_after_a_cover(built, q, k):
+    # a transformed pencil, then padding normals: the pencil covers, so the
+    # padding, multiples or not, builds no mask and owns no point
+    rng = random.Random(q * 100 + k)
+    pencil = _transformed_pencil(q, k, rng)
+    padding = [tuple(rng.randrange(1, q) for _ in range(k)) for _ in range(2 * q)]
+    normals = pencil + padding + [tuple(2 * x for x in pencil[0])]
+    classes = [projective_class(n, q) for n in pencil]
+    _, _, assignment = reference_covers(normals, k, q)
+    result = covers(normals, k, q)
+    assert result.covered and built == classes
+    assert list(result.assignment) == list(assignment.values())
+    assert max(result.assignment) == q
+    built.clear()
+    assert uncovered_count(normals, k, q) == 0 and built == classes
+
+
+def test_the_k_1_mask_and_the_qth_root_of_1():
+    # the general paths: a nonzero k = 1 normal is the origin alone, and
+    # Newton from x = 2 falls to the root 1 of n = 1
+    for q in (3, 5, 7, 11, 257):
+        for c in (1, q - 1, -1, q + 2, 2 * q - 1):
+            assert zero_mask((c,), q) == 1, (c, q)
+        assert integer_qth_root(1, q) == 1
+    assert integer_qth_root(1, 2) == 1
 
 
 def test_uncovered_count_holds_one_mask_at_a_time():
