@@ -22,7 +22,7 @@ proven one.
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 # _MR_PSI[t - 1] is psi_t, the least odd composite that is a strong
@@ -83,12 +83,10 @@ _TRIAL_PRIMES = (2, *compress(range(3, _TRIAL_BOUND, 2), odd_prime_flags(_TRIAL_
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(namedtuple("FactoredInteger", "sign factors")):
     """Sign plus sorted (prime, exponent) pairs: n = sign * prod p^e."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def _mr_witness(n, a, d, s):

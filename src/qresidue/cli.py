@@ -25,7 +25,7 @@ from functools import cache
 from itertools import product
 from math import prod
 
-from . import criterion, primescan
+from . import criterion
 from .arith import is_probable_prime
 from .covering import CoveringResult, GuardError, check_budget, synthesize_covering
 from .criterion import Verdict, decide
@@ -209,6 +209,7 @@ def cmd_certificate(args):
 
 
 def cmd_scan(args):
+    from . import primescan  # only scan and census load it
     p = primescan.find_counterexample_prime(args.set, args.q, args.bound)
     if p is None:
         return 0, {"counterexample_prime": None, "bound": args.bound}
@@ -221,6 +222,7 @@ def cmd_scan(args):
 
 
 def cmd_census(args):
+    from . import primescan
     rep = primescan.census(args.set, args.q, args.bound)
     return 0, {
         "bound": rep.bound,

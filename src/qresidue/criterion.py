@@ -16,7 +16,7 @@ in both directions.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cache
 from itertools import compress, islice, product
@@ -25,7 +25,7 @@ from operator import mul
 
 from . import fqlinalg
 from .arith import integer_qth_root, odd_prime_flags
-from .covering import CoveringResult, GuardError, check_budget, covers
+from .covering import GuardError, check_budget, covers
 from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile, check_count,
                        check_q, hyperplanes_of)
 
@@ -42,26 +42,22 @@ class Verdict(Enum):
     NO = "no"
 
 
-@dataclass(frozen=True)
-class Decision:
-    verdict: Verdict
-    profile: ResidueProfile | None
-    trivial: TrivialCertificate | None = None
-    covering: CoveringResult | None = None
+class Decision(namedtuple("Decision", "verdict profile trivial covering",
+                          defaults=(None, None))):
+    """The verdict, with the ResidueProfile (None when trivially Yes) and
+    either the TrivialCertificate or the CoveringResult."""
+
+    __slots__ = ()
 
     @property
     def uncovered(self) -> tuple[int, ...] | None:
         return self.covering.witness if self.covering is not None else None
 
 
-@dataclass(frozen=True)
-class SkalbaCertificate:
+class SkalbaCertificate(namedtuple("SkalbaCertificate", "c f product root")):
     """Vectors c, f with sum(f) != 0 mod q and prod qfree_j^(c_j f_j) = root^q."""
 
-    c: tuple[int, ...]
-    f: tuple[int, ...]
-    product: int
-    root: int
+    __slots__ = ()
 
 
 def decide(qinput: QInput) -> Decision:

@@ -42,9 +42,8 @@ covering engine.
 import os
 import reprlib
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from math import prod
@@ -74,23 +73,19 @@ _SERIAL_PREFIX = 4096
 _FAILING_LIST_CAP = 25
 
 
-@dataclass(frozen=True)
-class PrimeCheckReport:
-    p: int
-    splits: bool
-    per_element: tuple[tuple[int, bool], ...]
+class PrimeCheckReport(namedtuple("PrimeCheckReport", "p splits per_element")):
+    """Whether p splits, and an (element, is_residue) pair per element."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    bound: int
-    primes_checked: int
-    excluded_primes: int
-    split_primes: int
-    failing_count: int
-    failing_primes: tuple[int, ...]  # truncated
-    empirical_density: Fraction
-    predicted_density: Fraction
+class DensityReport(namedtuple("DensityReport", "bound primes_checked excluded_primes "
+                               "split_primes failing_count failing_primes "
+                               "empirical_density predicted_density")):
+    """A census: its prime counts, the first _FAILING_LIST_CAP failing
+    primes, and both densities as Fractions."""
+
+    __slots__ = ()
 
 
 def primes_up_to(bound):

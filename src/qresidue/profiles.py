@@ -10,7 +10,7 @@ plain tuples.
 """
 
 import reprlib
-from dataclasses import dataclass
+from collections import namedtuple
 from math import inf, prod
 
 from .arith import (GuardError, coprime_base, factorize, integer_qth_root, is_probable_prime,
@@ -35,33 +35,34 @@ def check_count(flag, count, limit=inf, minimum=1):
         raise GuardError(f"{flag} {count} exceeds limit {limit}")
 
 
-@dataclass(frozen=True)
-class QInput:
+class QInput(namedtuple("QInput", "q elements")):
     """An odd prime q and a nonempty list of nonzero integers."""
 
-    q: int
-    elements: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        check_q(self.q)
-        if not self.elements:
+    def __new__(cls, q, elements):
+        elements = tuple(elements)
+        check_q(q)
+        if not elements:
             raise ValueError("element set must be nonempty")
-        if any(b == 0 for b in self.elements):
+        if any(b == 0 for b in elements):
             raise ValueError("elements must be nonzero")
+        return super().__new__(cls, q, elements)
+
+    # namedtuple's _make, which _replace calls, would skip the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class TrivialCertificate:
+class TrivialCertificate(namedtuple("TrivialCertificate", "index root")):
     """Position and exact root of an element that is a perfect q-th power."""
 
-    index: int
-    root: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ResidueProfile:
-    """Support primes p_1..p_k and the k x l exponent matrix over F_q.
+class ResidueProfile(namedtuple("ResidueProfile",
+                                "q support_primes exponents provenance qfree_values")):
+    """Support primes p_1..p_k and the k x l exponent matrix over F_q, as k
+    row tuples of l entries.
 
     Columns are deduplicated by q-free value; provenance maps each surviving
     column to the first input element that produced it.  The columns are
@@ -71,11 +72,7 @@ class ResidueProfile:
     piece vectors give distinct columns.
     """
 
-    q: int
-    support_primes: tuple[int, ...]
-    exponents: tuple[tuple[int, ...], ...]  # k rows, l columns
-    provenance: dict[int, int]
-    qfree_values: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:

@@ -17,14 +17,19 @@ from qresidue.profiles import (
 
 
 def test_qinput_validation():
-    with pytest.raises(ValueError):
-        QInput(2, (2, 3))
-    with pytest.raises(ValueError):
-        QInput(9, (2, 3))
-    with pytest.raises(ValueError):
-        QInput(3, ())
-    with pytest.raises(ValueError):
-        QInput(3, (2, 0))
+    # every way to build one checks: positional, keyword, and namedtuple's
+    # _make and _replace, which bypass __new__ unless QInput overrides _make
+    for fields, message in (({"q": 2, "elements": (2, 3)}, "q must be an odd prime"),
+                            ({"q": 9, "elements": (2, 3)}, "q must be an odd prime"),
+                            ({"q": 3, "elements": ()}, "element set must be nonempty"),
+                            ({"q": 3, "elements": (2, 0)}, "elements must be nonzero")):
+        for build in (lambda: QInput(*fields.values()), lambda: QInput(**fields),
+                      lambda: QInput._make(fields.values()),
+                      lambda: QInput(5, (7,))._replace(**fields)):
+            with pytest.raises(ValueError, match=message):
+                build()
+    assert QInput(3, [2, 3]).elements == QInput(5, (7,))._replace(q=3, elements=[2, 3]).elements \
+        == (2, 3)
 
 
 def test_build_profile_cube_family():
