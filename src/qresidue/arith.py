@@ -7,10 +7,11 @@ before rho runs, so RHO_ITERATION_LIMIT (steps per factor found) bounds only
 the smallest prime of a cofactor that is not a perfect power.  coprime_base()
 splits a set of integers into pairwise coprime pieces with gcds alone, so
 that a set whose elements share primes needs one factorization per piece, not
-one per element; strip_power() divides out the whole power of a divisor in
-O(log e) steps, not e.  odd_prime_flags() is the package's one sieve of
-Eratosthenes, a bytearray of flags over the odd numbers: it yields the trial
-primes here and every prime that primescan counts or scans.
+one per element, and SPLIT_WORK_LIMIT bounds its elements times its pieces;
+strip_power() divides out the whole power of a divisor in O(log e) steps, not
+e.  odd_prime_flags() is the package's one sieve of Eratosthenes, a bytearray
+of flags over the odd numbers: it yields the trial primes here and every
+prime that primescan counts or scans.
 
 Primality is proven below psi_13 = 3.3e24: n < psi_t is tested with the
 first t prime witnesses, where psi_t (OEIS A014233) is the least strong
@@ -57,6 +58,14 @@ _MR_RANDOM_ROUNDS = 64
 # budget bounds only the smallest prime of a cofactor that is no perfect
 # power: p^2 with p = 10^19 + 51 factors at once.
 RHO_ITERATION_LIMIT = 10**7
+# Elements times pieces that coprime_base may reach: it takes up to one gcd,
+# and profiles.piece_exponents one strip_power, per element per piece, and a
+# set of n distinct primes reaches n^2.  On a 2-vCPU VM with Python 3.11.7,
+# 3,000 of them (9e6) split in 0.65 s, piece_exponents takes 2.3 s in all,
+# and scan --bound 100 answers in 3.4 s; at 3,162 (the most the limit admits)
+# piece_exponents takes 2.5 s.  4,000 primes (piece_exponents 4.2 s) are
+# refused at the 3,163rd, 0.8 s into the whole scan process.
+SPLIT_WORK_LIMIT = 10**7
 
 
 class GuardError(ValueError):
@@ -256,9 +265,11 @@ def coprime_base(ns) -> list[int]:
     strip_power); x shrinks at every split, so the loop ends.  Every value
     seen so far stays a product of pieces: a split replaces c by pieces of
     which c = g * (c/g) is a product, and x is g^e, a product of the new
-    pieces, times what it goes on as, and ends either as 1 or as a new piece."""
+    pieces, times what it goes on as, and ends either as 1 or as a new piece.
+    A GuardError once the elements so far times the pieces so far exceed
+    SPLIT_WORK_LIMIT."""
     base = []
-    for x in ns:
+    for count, x in enumerate(ns, 1):
         i = 0
         while x > 1 and i < len(base):
             c = base[i]
@@ -270,6 +281,9 @@ def coprime_base(ns) -> list[int]:
             base[i : i + 1] = coprime_base((g, c // g)) if g < c else (c,)
         if x > 1:
             base.append(x)
+        if count * len(base) > SPLIT_WORK_LIMIT:
+            raise GuardError(f"coprime split of {count} elements into {len(base)} pieces "
+                             f"exceeds split work limit {SPLIT_WORK_LIMIT}")
     return base
 
 

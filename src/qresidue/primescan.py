@@ -41,6 +41,7 @@ covering engine.
 
 import os
 import reprlib
+import signal
 import sys
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -98,17 +99,17 @@ def primes_up_to(bound):
     yield from compress(range(3, bound + 1, 2), odd_prime_flags(bound))
 
 
-def _split_primes(flags, q, product, lo=0, hi=None):
+def _split_primes(flags, q, product, lo, hi):
     """The primes p = 1 mod q of odd_prime_flags' flags that do not divide
-    product, in order; with lo and hi, only those at indices lo..hi-1 of the
-    split slice flags[q - 1 :: q].
+    product and sit at indices lo..hi-1 of the split slice flags[q - 1 :: q],
+    in order.
 
     Flag i stands for 3 + 2i, which is 1 mod q exactly when i = -1 mod q, so
     the split primes sit at every q-th flag from i = q - 1 on.  Neither 2
     nor q is ever a split prime.
     """
     start = q - 1 + q * lo
-    stop = len(flags) if hi is None else min(len(flags), q - 1 + q * hi)
+    stop = min(len(flags), q - 1 + q * hi)
     split = compress(range(3 + 2 * start, 3 + 2 * stop, 2 * q), flags[start:stop:q])
     return filter(product.__mod__, split)
 
@@ -135,10 +136,14 @@ def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
     return PrimeCheckReport(p, splits, per_element)
 
 
-def _split(B, q):
-    """Validated B as a tuple, and its vectors from profiles.piece_exponents."""
-    qinput = QInput(q, tuple(B))
-    return qinput.elements, piece_exponents(qinput)[1]
+def _plan(B, q, bound):
+    """Validated B as a tuple, its vectors from profiles.piece_exponents and
+    their _symbol_plan.  bound is checked first and B next, so that every
+    refusal comes before any sieve."""
+    check_count("--bound", bound, SCAN_BOUND_LIMIT, 2)
+    qinput = QInput(q, B)
+    vectors = piece_exponents(qinput)[1]
+    return qinput.elements, vectors, _symbol_plan(qinput.elements, vectors, q)
 
 
 def _symbol_plan(B, vectors, q):
@@ -255,8 +260,6 @@ def _failing_walk(plan, q, flags, product, cap, drain):
 def _signals_held():
     """Block every signal in the block, so that no Python handler (SIGINT's,
     a timeout's SIGALRM) raises inside it; yields the mask to restore."""
-    import signal
-
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
         signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
@@ -271,8 +274,6 @@ def _fork_walk(walk, lo, hi, mask):
     process cannot fork.  Called with every signal blocked; the child ignores
     SIGINT before it restores mask, writes nothing to stdio and never
     returns from here: it ends with os._exit."""
-    import signal
-
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -298,8 +299,6 @@ def _reap(children, i):
     """Take child i out of children, close its pipe, kill it and wait for it:
     its exit code.  A child that has closed its end of the pipe is already
     exiting, and the kill leaves the code it exits with as it is."""
-    import signal
-
     with _signals_held():
         pid, fd = children.pop(i)
         os.close(fd)
@@ -326,9 +325,7 @@ def _reply(children, i, cap):
 
 def find_counterexample_prime(B, q, bound) -> int | None:
     """First prime <= bound (outside the excluded set) where no element is a residue."""
-    check_count("--bound", bound, SCAN_BOUND_LIMIT, 2)
-    B, vectors = _split(B, q)
-    plan = _symbol_plan(B, vectors, q)
+    B, _, plan = _plan(B, q, bound)
     if plan is None:  # no prime fails, so none is sieved
         return None
     _, head = _failing_walk(plan, q, odd_prime_flags(bound), prod(B), 1, False)
@@ -353,15 +350,13 @@ def _density(vectors, q):
 def census(B, q, bound) -> DensityReport:
     """Count the primes <= bound, scan the split ones, and tabulate failure
     density vs the prediction."""
-    check_count("--bound", bound, SCAN_BOUND_LIMIT, 100)
-    B, vectors = _split(B, q)
-    plan = _symbol_plan(B, vectors, q)
+    B, vectors, plan = _plan(B, q, bound)
     # first, so that a GuardError comes before the scan, not after it
     predicted = Fraction(0) if plan is None else _density(vectors, q)
     divisors = _excluded(B, q, bound)
     excluded = len(divisors) + (q <= bound)
     flags = odd_prime_flags(bound)
-    primes = 1 + flags.count(1)  # 2, since bound >= 100, and the odd primes
+    primes = 1 + flags.count(1)  # 2, since bound >= 2, and the odd primes
     split = flags[q - 1 :: q].count(1) - sum(p % q == 1 for p in divisors)
     failing_count, failing = (0, ()) if plan is None else \
         _failing_walk(plan, q, flags, prod(B), _FAILING_LIST_CAP, True)

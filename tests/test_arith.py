@@ -11,6 +11,7 @@ from qresidue.arith import (
     _MR_WITNESSES,
     _TRIAL_PRIMES,
     FactoredInteger,
+    GuardError,
     _brent_rho,
     _mr_witness,
     coprime_base,
@@ -238,6 +239,17 @@ def test_factorize_splits_perfect_powers_without_rho(monkeypatch):
     assert factorize(4099**3).factors == ((4099, 3),)
 
 
+def test_rho_budget_is_read_on_each_call(monkeypatch):
+    # parting two primes above 10^6 takes rho about sqrt(10^6) = 1000 steps
+    p, r = 1_000_003, 1_000_033
+    monkeypatch.setattr(arith, "RHO_ITERATION_LIMIT", 50)
+    with pytest.raises(GuardError, match=f"^no factor of the 40-bit cofactor {p * r} within 50 "
+                                         "Pollard rho iterations$"):
+        factorize(p * r)
+    # the root split runs before rho, so a square needs none of the budget
+    assert factorize(p * p) == FactoredInteger(1, ((p, 2),))
+
+
 def test_factorize_takes_a_composite_root_once(monkeypatch):
     calls = counting_rho(monkeypatch)
     p, r = 1_000_003, 999_999_937
@@ -294,6 +306,18 @@ def test_coprime_base():
                 while n % c == 0:
                     n //= c
             assert n == 1, (b, base)
+
+
+def test_coprime_base_split_work_limit(monkeypatch):
+    # n distinct primes make n elements over n pieces; equal ones one piece
+    monkeypatch.setattr(arith, "SPLIT_WORK_LIMIT", 20)
+    assert coprime_base([2, 3, 5, 7]) == [2, 3, 5, 7]
+    assert coprime_base([6] * 20) == [6]
+    with pytest.raises(GuardError, match="^coprime split of 5 elements into 5 pieces exceeds "
+                                         "split work limit 20$"):
+        coprime_base([2, 3, 5, 7, 11])
+    with pytest.raises(GuardError, match="of 21 elements into 1 pieces"):
+        coprime_base([6] * 21)
 
 
 def test_strip_power_matches_the_naive_loop():

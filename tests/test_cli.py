@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from test_covering import pencil_owner
 
-from qresidue import cli, covering, criterion, profiles
+from qresidue import arith, cli, covering, criterion, profiles
 from qresidue.arith import coprime_base
 from qresidue.cli import main
 
@@ -107,10 +107,12 @@ def test_scan_bound_guard(capsys):
     for command in ("scan", "census"):
         code, out, err = run(capsys, command, "--q", "3", "--set", "2", "--bound", str(10**8))
         assert (code, out, err) == (2, "", "error: --bound 100000000 exceeds limit 10000000\n")
-    code, out, err = run(capsys, "scan", "--q", "3", "--set", "2", "--bound", "1")
-    assert code == 2 and ">= 2" in err
-    code, out, err = run(capsys, "census", "--q", "3", "--set", "2", "--bound", "99")
-    assert code == 2 and out == "" and err == "error: --bound must be >= 100\n"
+        code, out, err = run(capsys, command, "--q", "3", "--set", "2", "--bound", "1")
+        assert (code, out, err) == (2, "", "error: --bound must be >= 2\n")
+    # census --bound 2 answers: its one prime, 2, divides the element
+    code, env, _ = run_json(capsys, "census", "--q", "3", "--set", "2", "--bound", "2")
+    assert code == 0
+    assert (env["result"]["primes_checked"], env["result"]["excluded_primes"]) == (0, 1)
 
 
 def test_census(capsys):
@@ -762,6 +764,16 @@ def test_rho_budget_is_a_guard_error(capsys):
     code, out, err = run(capsys, "decide", "--q", "3", "--set", f"2,3,{s}")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Pollard rho iterations" in err
+
+
+@pytest.mark.parametrize("cmd", ["decide", "certificate", "scan", "census"])
+def test_split_work_limit_is_a_guard_error(capsys, monkeypatch, cmd):
+    # 5 distinct primes are 5 elements over 5 pieces: 25 steps, over 20
+    monkeypatch.setattr(arith, "SPLIT_WORK_LIMIT", 20)
+    bound = ("--bound", "1000") if cmd in ("scan", "census") else ()
+    code, out, err = run(capsys, cmd, "--q", "3", "--set", "2,3,5,7,11", *bound)
+    assert (code, out) == (2, "")
+    assert err == "error: coprime split of 5 elements into 5 pieces exceeds split work limit 20\n"
 
 
 def test_a_perfect_power_beyond_the_rho_budget_is_decided(capsys):

@@ -61,14 +61,20 @@ def test_primes_up_to_guards_its_bound_before_sieving(monkeypatch):
 
 
 def test_split_primes_match_the_filtered_primes():
-    # the stride starts on the flag of 3 + 2i = 1 mod q, i = q - 1
+    # the stride starts on the flag of 3 + 2i = 1 mod q, i = q - 1; the split
+    # slice holds len(flags) // q indices, ranges cut at any index join up to
+    # it, and a range that ends past the slice ends with it
     for bound in range(301):
         primes = list(primes_up_to(bound))
         flags = odd_prime_flags(bound)
         for q in (3, 5, 7):
-            assert list(primescan._split_primes(flags, q, 1)) == [p for p in primes if p % q == 1]
-            assert list(primescan._split_primes(flags, q, 2 * 7 * 13)) == \
-                [p for p in primes if p % q == 1 and p not in (7, 13)]
+            n = len(flags) // q
+            assert list(primescan._split_primes(flags, q, 1, 0, n)) == \
+                [p for p in primes if p % q == 1]
+            expected = [p for p in primes if p % q == 1 and p not in (7, 13)]
+            for cut in range(n + 1):
+                assert [*primescan._split_primes(flags, q, 2 * 7 * 13, 0, cut),
+                        *primescan._split_primes(flags, q, 2 * 7 * 13, cut, n + 1)] == expected
 
 
 def test_has_qth_power_mod_p():
@@ -172,10 +178,9 @@ def test_scan_bound_budget_fires_before_the_scan(monkeypatch):
         census([2], 3, SCAN_BOUND_LIMIT + 1)
     with pytest.raises(GuardError):
         find_counterexample_prime([2, 3, 6], 3, SCAN_BOUND_LIMIT + 1)
-    with pytest.raises(ValueError):
-        census([2], 3, 99)
-    with pytest.raises(ValueError):
-        find_counterexample_prime([2], 3, 1)
+    for scan in (census, find_counterexample_prime):
+        with pytest.raises(ValueError, match=">= 2"):
+            scan([2], 3, 1)
 
 
 def test_a_set_that_cannot_fail_is_not_scanned(monkeypatch):
@@ -287,6 +292,20 @@ def _prime_row_density(B, q):
         return Fraction(0)
     U = covering.uncovered_count(hyperplanes_of(profile), profile.k, q)
     return Fraction(U, q**profile.k * (q - 1))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("kind", ["covers", "no", "power", "multiple of q"])
+def test_scans_match_reference_loops_at_small_bounds(q, kind):
+    # scan and census share the floor of 2: every bound up to 300 crosses q,
+    # the primes of B and the first split primes
+    B = {"covers": _pencil(q, 2, 3), "no": [2, 3, 6], "power": [5, -(2**q), 7],
+         "multiple of q": [2 * q, 5]}[kind]
+    predicted = _prime_row_density(B, q)
+    for bound in range(2, 301):
+        fields, first = _reference_scan(B, q, bound)
+        assert find_counterexample_prime(B, q, bound) == first
+        assert census(B, q, bound) == DensityReport(**fields, predicted_density=predicted)
 
 
 @pytest.mark.parametrize("q, B, bound", list(_scan_cases()))
@@ -406,9 +425,8 @@ def test_scans_match_reference_loops_on_random_sets():
         q, B, bound = case
         fields, first = _reference_scan(B, q, bound)
         assert find_counterexample_prime(B, q, bound) == first
-        if bound >= 100:
-            expected = DensityReport(**fields, predicted_density=_prime_row_density(B, q))
-            assert census(B, q, bound) == expected
+        expected = DensityReport(**fields, predicted_density=_prime_row_density(B, q))
+        assert census(B, q, bound) == expected
 
     check()
 
