@@ -59,12 +59,20 @@ _MR_RANDOM_ROUNDS = 64
 # power: p^2 with p = 10^19 + 51 factors at once.
 RHO_ITERATION_LIMIT = 10**7
 # Elements times pieces that coprime_base may reach: it takes up to one gcd,
-# and profiles.piece_exponents one strip_power, per element per piece, and a
-# set of n distinct primes reaches n^2.  On a 2-vCPU VM with Python 3.11.7,
-# 3,000 of them (9e6) split in 0.65 s, piece_exponents takes 2.3 s in all,
-# and scan --bound 100 answers in 3.4 s; at 3,162 (the most the limit admits)
-# piece_exponents takes 2.5 s.  4,000 primes (piece_exponents 4.2 s) are
-# refused at the 3,163rd, 0.8 s into the whole scan process.
+# and profiles.piece_exponents one C-level remainder, per element per piece,
+# and a set of n distinct primes reaches n^2.  On a 2-vCPU VM with Python
+# 3.11.7, 3,000 of them (9e6) split in 0.6-0.8 s, piece_exponents takes
+# 1.5-2.1 s in all, and scan --bound 100 answers in 2.9-3.0 s; at 3,162 (the
+# most the limit admits) piece_exponents takes 1.9 s.  4,000 primes are
+# refused at the 3,163rd, 0.9-1.0 s into the whole scan process.  A step on
+# a large element costs far more.  1,500 elements, each the product of a
+# seeded random half of the first 1,500 odd primes (up to 2,731 digits;
+# 2.25e6, 22.5% of the limit), take 15.6-16.0 s in piece_exponents and
+# 127-149 s in the elimination of primescan._symbol_plan, so scan and census
+# spend over two minutes before they walk or refuse.  Through the CLI,
+# Linux's 128 KiB cap on one argv string bounds --set: on 250 such elements
+# over 360 primes (129,815 bytes), the library's decide refuses in 0.2 s,
+# census refuses in 1.2 s and scan answers in 1.2 s.
 SPLIT_WORK_LIMIT = 10**7
 
 

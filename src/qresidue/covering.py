@@ -11,25 +11,25 @@ coordinate lays q copies of the pattern so far side by side, and a nonzero
 one gathers each class of the suffix as one C-level sum of q shifted
 classes.  Scalar multiples of a normal have its hyperplane, so one mask
 is built per projective class.  Both covers and uncovered_count read one
-walk, _owned: in input order, each class owns the points of its mask that
+walk, _walk: in input order, each class owns the points of its mask that
 no earlier class holds, and the walk keeps the gaps, the points nothing
-holds yet, and stops building masks once there are none.  A family covers
-F_q^k iff no gap is left; its lexicographically first gap is the lowest
-set bit of the gaps, and the number of uncovered points is q^k minus the
-owned points (uncovered_count holds the gaps and one mask at a time).  The
-Yes assignment lists, in the same order, the index of the first normal
-whose hyperplane holds each nonzero point: its owner.  Only
-CoveringResult.write_labels reads it off the owned points, into a buffer
-its caller lays out.  It builds one owner column (one byte per point, its
-owner's number) from the bit planes of those numbers, and translates that
-column once per label byte that some owner's label has nonzero, written
-with one strided slice assignment: the library's index array takes 4-byte
-labels, the CLI's text its decimal ones.
+holds yet, stops building masks once there are none, and returns them.  A
+family covers F_q^k iff no gap is left; its lexicographically first gap is
+the lowest set bit of the gaps, and the number of uncovered points is
+their popcount (uncovered_count keeps no owned part; covers keeps them all
+for its assignment).  The Yes assignment lists, in the same order, the
+index of the first normal whose hyperplane holds each nonzero point: its
+owner.  Only CoveringResult.write_labels reads it off the owned points,
+into a buffer its caller lays out.  It builds one owner column (one byte
+per point, its owner's number) from the bit planes of those numbers, and
+translates that column once per label byte that some owner's label has
+nonzero, written with one strided slice assignment: the library's index
+array takes 4-byte labels, the CLI's text its decimal ones.
 """
 
 import sys
 from functools import cached_property, reduce
-from operator import itemgetter, lshift, or_
+from operator import lshift, or_
 
 from .arith import GuardError
 
@@ -42,11 +42,11 @@ POINT_ENUMERATION_LIMIT = 10**8
 # most one nonzero coordinate before its last one sums class 0 alone, q
 # shifted blocks making its q^k bits: about half the bit work.  On a 2-vCPU
 # VM with Python 3.11.7, 34 dense masks at q = 3, k = 16 (4.4e9) take
-# 0.8-1.4 s and 235 MB in covers, which keeps each mask's owned part, and
-# 0.8-1.3 s and 49 MB in uncovered_count, which keeps none.  Each mask is
-# freed once its owned part is cut, and the allocator returns and refaults
-# the freed pages.  308 pencil masks at q = 307, k = 2 (8.9e9, over the
-# limit) take 0.2-0.4 s.
+# 0.7-0.8 s and 229 MB in covers and its witness, which keep each mask's
+# owned part, and 0.7-0.8 s and 47 MB in uncovered_count, which keeps
+# none.  Each mask is freed once its owned part is cut, and the allocator
+# returns and refaults the freed pages.  308 pencil masks at q = 307, k = 2
+# (8.9e9, over the limit) take 0.2-0.4 s.
 MASK_WORK_LIMIT = 5 * 10**9
 
 
@@ -124,28 +124,29 @@ def _point(j, k, q) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _owned(classes, q, n):
-    """Yield (i, own) for each class i of classes, in input order, that holds
-    a point no earlier class holds; own is the mask of those points, among
-    the n = q^k points of F_q^k.
+def _walk(classes, q, n, owners=None) -> int:
+    """The gaps of the walk of classes in input order: the mask of the points
+    of F_q^k, n = q^k of them, that no class holds.
 
-    The owned parts are disjoint, and with the gaps, the points no class
-    holds, they make up F_q^k.  One zero mask is built per distinct class (a
-    later copy owns nothing), and none once the gaps are empty: the classes
-    after a full cover own nothing either.  The walk holds the gaps, and an
-    owned part only until the caller resumes it, so a caller that keeps no
-    owned part (uncovered_count) holds the gaps and one mask at a time."""
+    Each class owns the points of its mask that no earlier class holds; the
+    owned parts are disjoint, and with the gaps they make up F_q^k.  One zero
+    mask is built per distinct class (a later copy owns nothing), and none
+    once the gaps are empty: the classes after a full cover own nothing
+    either.  (i, own) is appended to owners, when a list is given, for each
+    class i that owns a point; without one the walk holds the gaps and one
+    mask at a time."""
     gaps, seen = (1 << n) - 1, set()
     for i, c in enumerate(classes):
         if not gaps:
-            return
+            break
         if c not in seen:
             seen.add(c)
             own = zero_mask(c, q) & gaps
-            if own:
-                gaps ^= own
-                yield i, own
-                del own  # a caller that kept no copy frees it before the next mask
+            if own and owners is not None:
+                owners.append((i, own))
+            gaps ^= own
+            del own  # without owners, only the gaps and one mask are alive
+    return gaps
 
 
 class CoveringResult:
@@ -157,11 +158,13 @@ class CoveringResult:
     not.  Otherwise it is a read-only memoryview of q^k - 1 normal indices,
     one per nonzero point in lexicographic order: the first normal (in input
     order) whose hyperplane contains the point.  All three read one walk of
-    the projective classes (see `projective_classes` and `_owned`), run at
-    most once and kept as `owners`, the points each normal owns, and `gaps`,
-    the points none holds.  The walk stops at a full cover, so a normal after
-    it builds no mask.  The assignment is written by `write_labels`, which
-    writes the CLI's text of it too.
+    the projective classes (see `projective_classes` and `_walk`), run at
+    most once and kept as `_walked`: the gaps, the points no normal holds,
+    and the points each normal owns.  A family of at most q classes covers
+    nothing and is walked only when `witness` or `write_labels` asks.  The
+    walk stops at a full cover, so a normal after it builds no mask.  The
+    assignment is written by `write_labels`, which writes the CLI's text of
+    it too.
     """
 
     def __init__(self, normals, k, q):
@@ -170,7 +173,7 @@ class CoveringResult:
         # Each hyperplane holds q^(k-1) points, the origin among them, so the
         # hyperplanes of q classes leave at least q - 1 points uncovered.
         self.covered = (len(self.normals) > q and len(set(self.projective_classes)) > q
-                        and not self.gaps)
+                        and not self._walked[0])
 
     @cached_property
     def projective_classes(self) -> list[tuple[int, ...]]:
@@ -178,20 +181,18 @@ class CoveringResult:
         return [projective_class(n, self.q) for n in self.normals]
 
     @cached_property
-    def owners(self) -> list[tuple[int, int]]:
-        """(i, own) for each normal i that owns a point, as `_owned` yields them."""
-        return list(_owned(self.projective_classes, self.q, self.q**self.k))
-
-    @cached_property
-    def gaps(self) -> int:
-        """The mask of the points no normal holds: all but the owned ones."""
-        return (1 << self.q**self.k) - 1 - sum(own for _, own in self.owners)
+    def _walked(self) -> tuple[int, list[tuple[int, int]]]:
+        """(gaps, owners) of one `_walk`: the mask of the points no normal
+        holds, and (i, own) for each normal i that owns a point."""
+        owners = []
+        return _walk(self.projective_classes, self.q, self.q**self.k, owners), owners
 
     @cached_property
     def witness(self) -> tuple[int, ...] | None:
         if self.covered:
             return None
-        return _point((self.gaps & -self.gaps).bit_length() - 1, self.k, self.q)
+        gaps = self._walked[0]
+        return _point((gaps & -gaps).bit_length() - 1, self.k, self.q)
 
     @cached_property
     def assignment(self) -> memoryview | None:
@@ -214,7 +215,7 @@ class CoveringResult:
         text starts with label 0, NUL but for its last byte, at every entry,
         and the last byte, a digit in every label, is never skipped.
 
-        The owners are read off `owners`, the one walk that also settles
+        The owners are read off `_walked`, the one walk that also settles
         `covered`: normal i owns the points no earlier normal holds, and no
         normal after a full cover owns any.  They are numbered 1, 2, ... in
         input order, and each group of 255 of them gets one owner column:
@@ -223,8 +224,8 @@ class CoveringResult:
         column, number i to byte t of owner i's label, and the groups'
         columns are added, as their points are disjoint.
         """
-        n = self.q**self.k
-        groups = [self.owners[g : g + 255] for g in range(0, len(self.owners), 255)]
+        n, owners = self.q**self.k, self._walked[1]
+        groups = [owners[g : g + 255] for g in range(0, len(owners), 255)]
         columns = [_owner_column([own for _, own in group], n) for group in groups]
         for t in range(len(labels[0])):
             parts = []
@@ -300,14 +301,12 @@ def covers(normals, k, q) -> CoveringResult:
 def uncovered_count(normals, k, q) -> int:
     """Number of vectors of F_q^k lying on none of the hyperplanes.
 
-    q^k minus the points the normals own, read off the walk of `_owned` as
-    it goes: only the gaps and one mask are alive at a time, where
-    CoveringResult keeps every owned part for its assignment, and no mask is
-    built after a full cover."""
+    The popcount of the gaps that `_walk` returns.  It keeps no owned part,
+    so only the gaps and one mask are alive at a time, where CoveringResult
+    keeps every owned part for its assignment; no mask is built after a full
+    cover."""
     check_family(normals, k, q)
-    owned = _owned([projective_class(n, q) for n in normals], q, q**k)
-    # map holds no owned part past its count, as a loop variable would
-    return q**k - sum(map(int.bit_count, map(itemgetter(1), owned)))
+    return _walk([projective_class(n, q) for n in normals], q, q**k).bit_count()
 
 
 def synthesize_covering(k, q) -> list[tuple[int, ...]]:

@@ -203,8 +203,8 @@ def _compare_routes(q, instances):
     """(instances checked, column tuples on which covering and oracle disagree)."""
     checked = 0
     disagreements = []
-    for cols in instances:  # as in decide, a repeated column adds no hyperplane
-        covering = covers(list(dict.fromkeys(cols)), len(cols[0]), q).covered
+    for cols in instances:
+        covering = covers(cols, len(cols[0]), q).covered
         checked += 1
         if covering != skalba_oracle(list(zip(*cols)), q):
             disagreements.append(cols)

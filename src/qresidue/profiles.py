@@ -11,6 +11,7 @@ plain tuples.
 
 import reprlib
 from collections import namedtuple
+from itertools import filterfalse
 from math import inf, prod
 
 from .arith import (GuardError, coprime_base, factorize, integer_qth_root, is_probable_prime,
@@ -87,23 +88,31 @@ def piece_exponents(qinput: QInput):
     """(pieces, vectors): the pairwise coprime pieces of |B|, found with gcds
     alone, and each element's exponent vector over them mod q.
 
-    Pieces that are q-th powers, or on which every exponent is 0 mod q, are
-    dropped, so a vector is zero iff its element is +-(a q-th power), and
-    there are at most k pieces.  Raises RuntimeError when an element is not
-    an exact product of powers of the pieces."""
+    Each element is read only on the pieces that divide it, found with one
+    C-level remainder per piece, and its exponent on each is taken with
+    strip_power.  The remainders are taken of what is left of the element
+    at the start of each run of 64 pieces, so a large element shrinks as
+    its pieces are stripped; the pieces are coprime, so stripping one keeps
+    every other's divisibility.  Pieces that are q-th powers, or on which
+    every exponent is 0 mod q, are dropped, so a vector is zero iff its
+    element is +-(a q-th power), and there are at most k pieces.  Raises
+    RuntimeError when an element is not an exact product of powers of the
+    pieces."""
+    q = qinput.q
     pieces = coprime_base(abs(b) for b in qinput.elements)
-    vectors = []
+    rows = []  # per element, its exponents mod q on the pieces that divide it
     for b in qinput.elements:
-        n, vector = abs(b), []
-        for c in pieces:
-            e, n = strip_power(n, c)
-            vector.append(e % qinput.q)
+        n, row = abs(b), {}
+        for start in range(0, len(pieces), 64):
+            for c in filterfalse(n.__mod__, pieces[start : start + 64]):
+                e, n = strip_power(n // c, c)  # c divides n: e + 1 times
+                row[c] = (e + 1) % q
         if n != 1:
             raise RuntimeError(f"{b} is not a product of its coprime base")
-        vectors.append(vector)
-    keep = [i for i, c in enumerate(pieces)
-            if any(v[i] for v in vectors) and integer_qth_root(c, qinput.q) is None]
-    return [pieces[i] for i in keep], [tuple(v[i] for i in keep) for v in vectors]
+        rows.append(row)
+    used = {c for row in rows for c, e in row.items() if e}
+    kept = [c for c in pieces if c in used and integer_qth_root(c, q) is None]
+    return kept, [tuple([row.get(c, 0) for c in kept]) for row in rows]
 
 
 def build_profile(qinput: QInput):

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -6,7 +7,8 @@ from test_arith import reference_factorize, shared_prime_sets
 from test_primescan import _P1, _P2, _SEMIPRIME, _factorize_knowing_the_semiprime
 
 from qresidue import profiles
-from qresidue.arith import integer_qth_root
+from qresidue.arith import coprime_base, integer_qth_root, strip_power
+from qresidue.primescan import primes_up_to
 from qresidue.profiles import (
     QInput,
     ResidueProfile,
@@ -214,3 +216,41 @@ def test_piece_exponents_on_a_pencil_of_high_powers():
     pieces, vectors = profiles.piece_exponents(QInput(q, elements))
     assert pieces == [3, 5]
     assert vectors == [(1, 0), (0, 1)] + [(1, t) for t in range(1, q)]
+
+
+def dense_piece_exponents(qinput):
+    """piece_exponents read densely: every element on every piece, then a
+    scan of every vector for each piece to choose the kept ones."""
+    pieces = coprime_base(abs(b) for b in qinput.elements)
+    vectors = []
+    for b in qinput.elements:
+        n, vector = abs(b), []
+        for c in pieces:
+            e, n = strip_power(n, c)
+            vector.append(e % qinput.q)
+        assert n == 1
+        vectors.append(vector)
+    keep = [i for i, c in enumerate(pieces)
+            if any(v[i] for v in vectors) and integer_qth_root(c, qinput.q) is None]
+    return [pieces[i] for i in keep], [tuple(v[i] for i in keep) for v in vectors]
+
+
+_PIECE_SETS = [
+    (8, 3), (216, 1080),  # the pieces 8 and 216 = 6^3 are cubes
+    (1,), (-1, 6, -35, 210), (12**3 * 5, 10, -1),
+    (_P1, _P2, -_P1 * _P2**2, _P1**3, 2 * _P2**5),  # primes above 10^6
+]
+# 150 pieces, more than one run of 64: elements on pieces of several runs
+_ODD_PRIMES = list(primes_up_to(1000))[1:151]
+_PIECE_SETS.append((*_ODD_PRIMES, -prod(p**2 for p in _ODD_PRIMES[60:70]),
+                    _ODD_PRIMES[0] * _ODD_PRIMES[149] ** 4, prod(_ODD_PRIMES[::7])))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_piece_exponents_matches_the_dense_reading(q):
+    # seeded sets share primes above 10^6 across elements, hold signs and
+    # equal elements, and one in ten holds +-1
+    seeded = [elements for _, elements in shared_prime_sets(70 + q, 40)]
+    for elements in seeded + _PIECE_SETS:
+        qinput = QInput(q, tuple(elements))
+        assert profiles.piece_exponents(qinput) == dense_piece_exponents(qinput), elements
