@@ -10,22 +10,22 @@ M(c) = M diag(c), that is, iff it is not orthogonal to Null(M(c)).  Since
 
 c passes iff some basis vector g of Null(M) has sum_j g_j c_j^-1 != 0 mod q.
 So one null space of M serves every twist: the oracle tests all of them
-against it, and skalba_solve turns the passing g into a certificate.  The
-covering and oracle routes must agree.  Constructive witnesses are available
-in both directions.
+against it, and skalba_solve turns the passing g into a certificate.  Since
+c -> c^-1 is a bijection of (F_q^*)^l, the oracle enumerates u = c^-1
+directly and takes no inverse.  The covering and oracle routes must agree.
+Constructive witnesses are available in both directions.
 """
 
 import random
 from collections import namedtuple
 from enum import Enum
-from functools import cache
 from itertools import compress, islice, product
 from math import log, prod
 from operator import mul
 
 from . import fqlinalg
 from .arith import integer_qth_root, odd_prime_flags
-from .covering import GuardError, check_budget, covers
+from .covering import GuardError, _point, check_budget, covers
 from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile, check_count,
                        check_q, hyperplanes_of)
 
@@ -92,20 +92,12 @@ def skalba_condition_holds(M, q, c) -> bool:
     return any(sum(g) % q for g in fqlinalg.null_space_basis(twisted_matrix(M, q, c), q))
 
 
-@cache
-def _inverses(q):
-    """x^-1 mod q at index x, for x in [1, q-1]; index 0 is unused."""
-    return [0] + [pow(x, -1, q) for x in range(1, q)]
-
-
 def _twist_test(M, q):
-    """For twists c with entries in [1, q-1]: the first basis vector g of
-    Null(M) with sum_j g_j c_j^-1 != 0 mod q, or None if c fails."""
+    """For an inverted twist u = c^-1: the first basis vector g of Null(M)
+    with sum_j g_j u_j != 0 mod q, or None if the twist c fails."""
     basis = fqlinalg.null_space_basis(M, q)
-    inverse = _inverses(q)
 
-    def passing(c):
-        u = [inverse[cj] for cj in c]
+    def passing(u):
         for g in basis:
             if sum(map(mul, g, u)) % q:
                 return g
@@ -118,12 +110,13 @@ def skalba_oracle(M, q) -> bool:
     """Brute force over every c in (F_q \\ {0})^l; independent of the covering route.
 
     One rref per matrix: each twist is a dot-product test against a basis of
-    Null(M) (see _twist_test), stopping at the first twist that fails.
+    Null(M) (see _twist_test), stopping at the first twist that fails.  Each
+    tuple is read as u = c^-1, which runs over (F_q^*)^l as c does.  An l at
+    or above the limit's bit length is refused without computing (q-1)^l.
     """
-    l = len(M[0])
-    twists = (q - 1) ** l
-    if twists > ORACLE_ENUMERATION_LIMIT:
-        raise GuardError(f"(q-1)^l = {twists} exceeds oracle limit {ORACLE_ENUMERATION_LIMIT}")
+    l, limit = len(M[0]), ORACLE_ENUMERATION_LIMIT
+    if l >= limit.bit_length() or (q - 1) ** l > limit:
+        raise GuardError(f"(q-1)^l = {q - 1}^{l} exceeds oracle limit {limit}")
     return all(map(_twist_test(M, q), product(range(1, q), repeat=l)))
 
 
@@ -134,17 +127,19 @@ def skalba_solve(profile: ResidueProfile, c) -> SkalbaCertificate | None:
     _twist_test) and m the index of its last nonzero entry, the free column
     at which g has its rref 1.  That is the first basis vector of Null(M(c))
     with nonzero coordinate sum that row-reducing M(c) itself would give.
+    The l entries of c are inverted once, u = c^-1, for both the test and f.
     The integer identity is verified exactly: integer_qth_root returns a
     root only when its q-th power is the product.
     """
     q = profile.q
     _check_c(profile.exponents, q, c)
     c = tuple(cj % q for cj in c)
-    g = _twist_test(profile.exponents, q)(c)
+    u = [pow(cj, -1, q) for cj in c]
+    g = _twist_test(profile.exponents, q)(u)
     if g is None:
         return None
     free = max(j for j, gj in enumerate(g) if gj)
-    f = tuple(c[free] * gj * pow(cj, -1, q) % q for gj, cj in zip(g, c))
+    f = tuple(c[free] * gj * uj % q for gj, uj in zip(g, u))
     total = prod(b ** (cj * fj % q) for b, cj, fj in zip(profile.qfree_values, c, f))
     root = integer_qth_root(total, q)
     if root is None:
@@ -176,7 +171,6 @@ def exponent_twist(qinput: QInput, a) -> QInput:
     return QInput(qinput.q, tuple(b**aj for b, aj in zip(qinput.elements, a)))
 
 
-@cache
 def first_odd_primes(q, k):
     """The first k odd primes other than q: the support primes of
     `synthesize` fixtures.
@@ -263,12 +257,6 @@ def oracle_check_random(q, k_max, l_max, trials, seed):
         for _ in range(trials):
             k = rng.randint(1, k_max)
             l = rng.randint(1, l_max)
-            cols = []
-            for _ in range(l):
-                col = tuple(rng.randrange(q) for _ in range(k))
-                while not any(col):
-                    col = tuple(rng.randrange(q) for _ in range(k))
-                cols.append(col)
-            yield tuple(cols)
+            yield tuple(_point(rng.randrange(1, q**k), k, q) for _ in range(l))
 
     return _compare_routes(q, instances())

@@ -627,3 +627,50 @@ def test_uncovered_count_holds_one_mask_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 8 * mask_bytes, peak
+
+
+def _row_basis_from_the_last(rows, q):
+    """The rows kept walking from the last row up, each kept iff it is
+    independent of the rows kept so far, in their order in `rows`."""
+    kept = []
+    for i in reversed(range(len(rows))):
+        if rref([rows[j] for j in kept] + [rows[i]], q)[1] > len(kept):
+            kept.append(i)
+    return sorted(kept)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_a_row_basis_from_the_last_row_up_keeps_verdict_witness_and_count(q):
+    # normals in F_q^r, a pencil covering with extra classes or random ones,
+    # lifted into F_q^k (q^k <= 3^7) by a k x r matrix of rank r: the rows
+    # of the exponent matrix then have rank at most r < k.  Restricted to
+    # the kept rows R, the verdict stays, U_k = q^(k-r) U_r, and a No's
+    # first witness is 0 off R and the restricted witness on R.
+    rng = random.Random(131 + q)
+    k_top = {3: 7, 5: 4, 7: 3}[q]
+    seen = {True: 0, False: 0}
+    for _ in range(100):
+        k = rng.randint(2, k_top)
+        r = rng.randint(1, k - 1)
+        small = [tuple(rng.randrange(q) for _ in range(r)) for _ in range(rng.randint(1, 2 * q))]
+        if r > 1 and rng.random() < 0.5:
+            small += synthesize_covering(r, q)
+        small = [m for m in small if any(m)] or [(1,) * r]
+        lift = [[rng.randrange(q) for _ in range(r)] for _ in range(k)]
+        while rref(lift, q)[1] < r:
+            lift = [[rng.randrange(q) for _ in range(r)] for _ in range(k)]
+        normals = [tuple(sum(a * b for a, b in zip(row, m)) % q for row in lift) for m in small]
+        rows = list(zip(*normals))
+        R = _row_basis_from_the_last(rows, q)
+        r = len(R)  # below the lift's r when the small normals span less
+        assert r == rref(rows, q)[1] < k
+        restricted = [tuple(n[i] for i in R) for n in normals]
+        full, reduced = covers(normals, k, q), covers(restricted, r, q)
+        assert full.covered == reduced.covered, normals
+        assert uncovered_count(normals, k, q) == q ** (k - r) * uncovered_count(restricted, r, q)
+        if not full.covered:
+            witness = full.witness
+            assert all(witness[i] == 0 for i in range(k) if i not in R), normals
+            assert tuple(witness[i] for i in R) == reduced.witness, normals
+        seen[full.covered] += 1
+    assert seen[True] > 0 and seen[False] > 0

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, count, islice, product
 from math import prod
 from pathlib import Path
@@ -87,7 +88,15 @@ def test_skalba_oracle_refuses_over_its_limit_before_any_twist(monkeypatch):
     monkeypatch.setattr(criterion, "_twist_test", untried)
     with pytest.raises(GuardError) as refused:
         skalba_oracle([[1] * 24], 3)
-    assert str(refused.value) == "(q-1)^l = 16777216 exceeds oracle limit 10000000"
+    assert str(refused.value) == "(q-1)^l = 2^24 exceeds oracle limit 10000000"
+
+
+def test_skalba_oracle_refuses_a_long_row_without_computing_its_power():
+    # 2^20000 has 6,021 digits, over the default limit of integer-to-text
+    # conversion: the message names the power, not its value
+    with pytest.raises(GuardError) as refused:
+        skalba_oracle([[1] * 20000], 3)
+    assert str(refused.value) == "(q-1)^l = 2^20000 exceeds oracle limit 10000000"
 
 
 def test_skalba_solve_reference_certificate():
@@ -96,6 +105,19 @@ def test_skalba_solve_reference_certificate():
     assert sum(cert.f) % 3 != 0
     assert cert.product == 216 and cert.root == 6
     assert skalba_solve(build_profile(CUBE_NO), [1, 1, 2]) is None
+
+
+def test_skalba_solve_holds_no_table_of_q_entries():
+    # {2, 3} has no null space, so every twist fails; at q = 100,003 a table
+    # of inverses would take megabytes
+    profile = build_profile(QInput(100_003, (2, 3)))
+    tracemalloc.start()
+    try:
+        assert skalba_solve(profile, [1, 2]) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 def test_skalba_certificates_verify_exactly():
@@ -214,6 +236,29 @@ def test_oracle_agreement_random_f5():
     checked, disagreements = oracle_check_random(5, 3, 4, trials=200, seed=42)
     assert checked == 200
     assert disagreements == []
+
+
+def _random_draws(monkeypatch, q, k_max, l_max, trials, seed):
+    monkeypatch.setattr(criterion, "_compare_routes", lambda q, instances: list(instances))
+    return oracle_check_random(q, k_max, l_max, trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("q, k_max, l_max", [(3, 2, 2), (5, 3, 4), (7, 4, 3)])
+def test_oracle_random_draws_nonzero_columns_of_one_length(monkeypatch, q, k_max, l_max):
+    instances = _random_draws(monkeypatch, q, k_max, l_max, 200, 0)
+    assert len(instances) == 200
+    for cols in instances:
+        assert 1 <= len(cols) <= l_max
+        assert 1 <= len(cols[0]) <= k_max
+        assert all(len(col) == len(cols[0]) and any(col) for col in cols), cols
+        assert all(0 <= x < q for col in cols for x in col), cols
+    assert instances == _random_draws(monkeypatch, q, k_max, l_max, 200, 0)
+
+
+def test_oracle_random_draws_every_nonzero_column(monkeypatch):
+    instances = _random_draws(monkeypatch, 3, 2, 2, 200, 0)
+    drawn = {col for cols in instances for col in cols}
+    assert drawn == {v for k in (1, 2) for v in product(range(3), repeat=k) if any(v)}
 
 
 def _no_sweep(monkeypatch):
@@ -481,7 +526,7 @@ def test_twist_test_matches_skalba_condition_holds(q):
         passing = criterion._twist_test(M, q)
         for c in product(range(1, q), repeat=l):
             expected = skalba_condition_holds(M, q, c)
-            g = passing(c)
+            g = passing([pow(cj, -1, q) for cj in c])
             assert (g is not None) == expected, (cols, c)
             if g is not None:
                 assert fqlinalg.mat_vec(M, g, q) == [0] * k
@@ -508,7 +553,7 @@ def test_twist_test_returns_the_reference_first_vector(q):
         passing, reference = criterion._twist_test(M, q), _reference_twist_test(M, q)
         multi += len(fqlinalg.null_space_basis(M, q)) > 1
         for c in product(range(1, q), repeat=l):
-            assert passing(c) == reference(c), (M, c)
+            assert passing([pow(cj, -1, q) for cj in c]) == reference(c), (M, c)
     assert multi > 0  # some twists pass on a later basis vector than the first
 
 
