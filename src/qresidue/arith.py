@@ -298,7 +298,10 @@ def coprime_base(ns) -> list[int]:
 def integer_qth_root(n: int, q: int) -> int | None:
     """Exact q-th root of n >= 1, or None if n is not a perfect q-th power.
 
-    Integer Newton from x = 2^ceil(bitlen(n) / q), above r = n^(1/q), ends at
+    Decided by bit length first: when q >= bitlen(n), n < 2^q <= r^q for
+    every r >= 2, so only n = 1 has a root, and no power of q bits is built
+    (Newton's first step would take x^(q-1) at x = 2).  Otherwise integer
+    Newton from x = 2^ceil(bitlen(n) / q), above r = n^(1/q), ends at
     floor(r), so one test x^q == n settles it.  Each step gives
     y = floor(((q-1) x + n / x^(q-1)) / q), the inner floor being absorbed
     as (q-1) x is an integer.  By AM-GM that mean is at least r, so
@@ -309,6 +312,8 @@ def integer_qth_root(n: int, q: int) -> int | None:
         raise ValueError("n must be >= 1")
     if q < 2:
         raise ValueError("q must be >= 2")
+    if q >= n.bit_length():
+        return 1 if n == 1 else None
     x = 1 << ((n.bit_length() + q - 1) // q)
     while True:
         y = ((q - 1) * x + n // x ** (q - 1)) // q

@@ -277,7 +277,8 @@ def cmd_synthesize(args):
     if args.twists == "all":
         count = (q - 1) ** len(B)
         if count > TWIST_ORBIT_LIMIT:
-            raise GuardError(f"(q-1)^l = {count} exceeds orbit limit; use --twists N")
+            raise GuardError(f"(q-1)^l = {q - 1}^{len(B)} exceeds orbit limit {TWIST_ORBIT_LIMIT}; "
+                             "use --twists N")
         exponents = product(range(1, q), repeat=len(B))
     else:
         count = args.twists

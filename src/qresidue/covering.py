@@ -272,17 +272,11 @@ def check_budget(l, k, q):
 
 def check_family(normals, k, q):
     """Normals of length k, nonzero mod q, within the budgets of
-    check_budget for len(normals) of them.
-
-    A plain loop, not a generator per normal: the oracle sweep checks
-    thousands of families of a few short normals."""
+    check_budget for len(normals) of them."""
     for n in normals:
         if len(n) != k:
             raise ValueError(f"normal {n} does not have length k = {k}")
-        for x in n:
-            if x % q:
-                break
-        else:
+        if not any(x % q for x in n):
             raise ValueError(f"normal {n} is zero mod q = {q}")
     check_budget(len(normals), k, q)
 

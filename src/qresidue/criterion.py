@@ -25,7 +25,7 @@ from operator import mul
 
 from . import fqlinalg
 from .arith import integer_qth_root, odd_prime_flags
-from .covering import GuardError, _point, check_budget, covers
+from .covering import CoveringResult, GuardError, _point, check_budget, covers
 from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile, check_count,
                        check_q, hyperplanes_of)
 
@@ -194,11 +194,20 @@ def _check_sizes(q, k_max, l_max):
 
 
 def _compare_routes(q, instances):
-    """(instances checked, column tuples on which covering and oracle disagree)."""
+    """(instances checked, column tuples on which covering and oracle disagree).
+
+    Each instance is a CoveringResult built directly: no sweep's instance
+    needs the checks of `covers` (`check_family`).  A random column is
+    `_point(randrange(1, q^k))`, nonzero and of length k, and
+    `check_budget(l_max, k_max, q)` runs before the first draw; both of its
+    charges only grow with l and k.  The exhaustive columns are the nonzero
+    vectors of F_q^k, and its instance limit (q^k-1)^l <= 10^6 gives
+    q^k <= 10^6+1 and, at k >= 2, l q^(k+1) <= 10^9: within both budgets.
+    """
     checked = 0
     disagreements = []
     for cols in instances:
-        covering = covers(cols, len(cols[0]), q).covered
+        covering = CoveringResult(cols, len(cols[0]), q).covered
         checked += 1
         if covering != skalba_oracle(list(zip(*cols)), q):
             disagreements.append(cols)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd, prod
 
 import pytest
@@ -339,6 +340,35 @@ def test_integer_qth_root_examples():
     assert integer_qth_root(216, 3) == 6
     assert integer_qth_root(1, 5) == 1
     assert integer_qth_root(10, 3) is None
+    for n in (0, -8):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            integer_qth_root(n, 3)
+    for q in (1, 0, -3):
+        with pytest.raises(ValueError, match="q must be >= 2"):
+            integer_qth_root(8, q)
+
+
+def test_integer_qth_root_matches_brute_force():
+    # every n <= 4096 against the largest r with r^q <= n, on both sides of
+    # the bit-length test (q >= bitlen(n) and q < bitlen(n))
+    for q in range(2, 17):
+        powers = {r**q: r for r in range(1, 4097) if r**q <= 4096}
+        for n in range(1, 4097):
+            assert integer_qth_root(n, q) == powers.get(n), (n, q)
+
+
+def test_integer_qth_root_of_a_short_n_builds_no_power_of_q_bits():
+    # 2 < 2^q: no root, decided by bit length; Newton's first step would
+    # build 2^(q-1), a 10^9-bit integer (seconds and hundreds of MB)
+    q = 10**9 + 7
+    tracemalloc.start()
+    try:
+        assert integer_qth_root(2, q) is None
+        assert integer_qth_root(1, q) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
 
 
 def test_integer_qth_root_random():

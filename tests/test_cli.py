@@ -222,12 +222,33 @@ def test_list_usage_errors_name_their_flag(capsys):
     (("synthesize", "--q", "3", "--k", "1"), "--k must be >= 2"),
     (("synthesize", "--q", "3", "--k", "3", "--primes", "5,7"), "need at least 3 primes"),
     (("synthesize", "--q", "7", "--k", "2", "--twists", "all"),
-     "(q-1)^l = 1679616 exceeds orbit limit; use --twists N"),
-], ids=["c-entries", "k", "primes", "twists-all"])
+     "(q-1)^l = 6^8 exceeds orbit limit 100000; use --twists N"),
+    # the largest q whose pencil the mask budget admits: the orbit's value
+    # has 639 digits, so the message names its power
+    (("synthesize", "--q", "263", "--k", "2", "--twists", "all"),
+     "(q-1)^l = 262^264 exceeds orbit limit 100000; use --twists N"),
+], ids=["c-entries", "k", "primes", "twists-all", "twists-all-263"])
 def test_command_refusals_keep_their_message(capsys, argv, message):
     for json_flag in ((), ("--json",)):
         code, out, err = run(capsys, *json_flag, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err.encode()) < 100
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("decide", "--set", "2"), 2, ""),
+    (("decide", "--set", "1,2"), 0, "command: decide\nverdict: trivially_yes\ntrivial_certificate:\n"
+                                    "  index: 0\n  element: 1\n  root: 1\n"),
+    (("census", "--set", "2", "--bound", "100"), 2, ""),
+    (("scan", "--set", "2,3", "--bound", "100"), 0, "command: scan\ncounterexample_prime: None\n"
+                                                   "bound: 100\n"),
+], ids=["decide-no-root", "decide-trivial", "census", "scan"])
+def test_a_large_q_answers_without_a_power_of_q_bits(capsys, argv, code, out):
+    # 2 < 2^q has no q-th root, decided by bit length: before that test each
+    # of these took 6-15 s and over 400 MB, in a power 2^(q-1)
+    got = run(capsys, argv[0], "--q", "1000000007", *argv[1:])
+    err = "" if code == 0 else "error: q^k = 1000000007^1 exceeds enumeration limit 100000000\n"
+    assert got == (code, out, err)
 
 
 def test_integer_usage_errors_name_their_flag(capsys):
@@ -663,6 +684,13 @@ def test_failed_cli_self_checks_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "certificate", "--q", "3", "--set", "2,3,6,12")
     assert (code, out) == (3, "")
     assert err == "internal error: RuntimeError: Skalba condition failed on a Yes-instance\n"
+    monkeypatch.undo()
+    # the Skalba certificate's exact-root check of its own product
+    monkeypatch.setattr(criterion, "integer_qth_root", lambda n, q: None)
+    code, out, err = run(capsys, "certificate", "--q", "3", "--set", "2,3,6,12")
+    assert (code, out) == (3, "")
+    assert err == ("internal error: RuntimeError: certificate product 216 is not an exact 3-th "
+                   "power; this contradicts the covering criterion\n")
     no = criterion.decide(profiles.QInput(3, (2, 3, 6)))
     assert no.verdict is criterion.Verdict.NO
     monkeypatch.setattr(cli, "decide", lambda qinput: no)

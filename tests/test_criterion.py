@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from qresidue import covering, criterion, fqlinalg
 from qresidue.arith import is_probable_prime
 from qresidue.cli import main
-from qresidue.covering import GuardError, check_family, covers, synthesize_covering, uncovered_count
+from qresidue.covering import (GuardError, check_budget, check_family, covers, synthesize_covering,
+                               uncovered_count)
 from qresidue.criterion import (
     ORACLE_ENUMERATION_LIMIT,
     ORACLE_INSTANCE_LIMIT,
@@ -358,11 +359,19 @@ def test_oracle_random_caps_follow_a_raised_limit(monkeypatch, module, limit, va
 def test_oracle_random_is_refused_up_front_iff_its_largest_instance_is(monkeypatch, q):
     # with small engine budgets, a random sweep is refused before any draw,
     # with the same message, exactly when check_family refuses l_max all-ones
-    # normals of length k_max; an admitted sweep then meets no over-budget
-    # instance.  The limits leave both outcomes at each q.
+    # normals of length k_max; check_family accepts every instance of an
+    # admitted sweep, which _compare_routes builds without it.  The limits
+    # leave both outcomes at each q.
     monkeypatch.setattr(covering, "POINT_ENUMERATION_LIMIT", 100)
     monkeypatch.setattr(covering, "MASK_WORK_LIMIT", 400)
     compare = criterion._compare_routes
+
+    def checked_compare(q, instances):
+        instances = list(instances)
+        for cols in instances:
+            check_family(cols, len(cols[0]), q)
+        return compare(q, instances)
+
     outcomes = set()
     for k_max, l_max in product(range(1, 5), repeat=2):
         try:
@@ -376,10 +385,51 @@ def test_oracle_random_is_refused_up_front_iff_its_largest_instance_is(monkeypat
             monkeypatch.setattr(criterion, "_compare_routes", compare)
             continue
         outcomes.add("admitted")
+        monkeypatch.setattr(criterion, "_compare_routes", checked_compare)
         for seed in range(20):
             checked, disagreements = oracle_check_random(q, k_max, l_max, trials=20, seed=seed)
             assert checked == 20 and disagreements == []
     assert outcomes == {"refused", "admitted"}
+
+
+def test_every_exhaustive_cell_is_within_the_covering_budgets(monkeypatch):
+    # _compare_routes builds each instance without covers' door, so every
+    # (k, l) the exhaustive guard admits must pass check_budget.  Past
+    # q = 3,163 even k = l = 1 is over the 10^7 Skalba checks.
+    monkeypatch.setattr(criterion, "_compare_routes", lambda q, instances: "admitted")
+    cells = []
+    for q in filter(is_probable_prime, range(3, 3164, 2)):
+        for k in count(1):
+            row = []
+            for l in count(1):  # the sweep (k, l) holds every smaller cell
+                try:
+                    oracle_check_exhaustive(q, k, l)
+                except GuardError:
+                    break
+                check_budget(l, k, q)
+                row.append((q, k, l))
+            if not row:
+                break
+            cells += row
+    # the edges: 2^1 + ... + 2^l matrices at q = 3, k = 1 hold 4^1 + ... + 4^l
+    # Skalba checks, and (q^2 - 1)(q - 1) of them at k = 2, l = 1
+    assert (3, 1, 11) in cells and (3, 1, 12) not in cells
+    assert (211, 2, 1) in cells and (223, 2, 1) not in cells and (3163, 1, 1) in cells
+    with pytest.raises(GuardError):
+        oracle_check_exhaustive(3167, 1, 1)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: oracle_check_exhaustive(3, 2, 3),
+    lambda: oracle_check_random(5, 3, 4, trials=200, seed=42),
+], ids=["exhaustive", "random"])
+def test_oracle_sweeps_do_not_pass_covers_door(monkeypatch, sweep):
+    def door(normals, k, q):
+        raise AssertionError("a sweep instance went through check_family")
+
+    monkeypatch.setattr(covering, "check_family", door)
+    checked, disagreements = sweep()
+    assert checked > 0 and disagreements == []
 
 
 def test_oracle_budgets_admit_sweeps_at_the_limit(monkeypatch):
