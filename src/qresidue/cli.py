@@ -12,6 +12,11 @@ written maps to these codes like one raised by the command; the answer is all
 rendered before its first byte is written, so a failed rendering writes none.
 Each flag is converted by its argparse type=, and each usage error, argparse's
 own included, is one bounded "error:" line on stderr, with no usage text.
+--q is converted only to an integer: each command tests that it is an odd
+prime once, at the library entry it passes through (QInput, the oracle
+sweeps, or check_q first in synthesize).  So an argv with two faults, such as
+scan --q 4 --set 2 --bound 1, may be refused for its other fault first, with
+exit 2 either way.
 """
 
 import argparse
@@ -68,13 +73,6 @@ def _parse_int(text, name, malformed=None):
             raise UsageError(f"{name} has {len(digits)} digits, over Python's limit of {limit} "
                              "(PYTHONINTMAXSTRDIGITS=0 lifts it)") from e
         raise UsageError(malformed or f"{name} must be an integer, got {reprlib.repr(text)}") from e
-
-
-def _parse_q(text):
-    try:
-        return check_q(_parse_int(text, "--q"))
-    except ValueError as e:  # from check_q: _parse_int raises a UsageError
-        raise UsageError(e) from e
 
 
 def _parse_set(text, name="element set", entries="elements"):
@@ -244,6 +242,7 @@ def cmd_census(args):
 
 
 def cmd_synthesize(args):
+    check_q(args.q)  # before check_budget, which would answer an even q with a budget message
     check_count("--k", args.k, SYNTHESIZE_K_LIMIT, 2)
     if args.primes is not None:
         primes = args.primes
@@ -386,7 +385,7 @@ def build_parser():
     def add(name, func, **kwargs):  # every command takes --q
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--q", required=True, type=_parse_q)
+        add_int(p, "--q", required=True)
         return p
 
     def add_int(p, flag, **kwargs):  # an integer flag, named in its errors

@@ -27,6 +27,7 @@ nonzero, written with one strided slice assignment: the library's index
 array takes 4-byte labels, the CLI's text its decimal ones.
 """
 
+import reprlib
 import sys
 from functools import cached_property, reduce
 from operator import lshift, or_
@@ -263,16 +264,21 @@ def check_budget(l, k, q):
     at most l normals of length at most k asks once, for (l, k, q).  A k at
     or above the point limit's bit length is refused without computing q^k,
     since any base >= 2 to that power exceeds the limit; past the point
-    test, q^(k+1) is at most q times the limit.  So no power grows large."""
+    test, q^(k+1) is at most q times the limit.  So no power grows large.
+    The point refusal writes q as check_q does, cut short past 40 digits;
+    the mask refusal needs no cut, as q^2 <= q^k is within the point limit."""
     if k >= POINT_ENUMERATION_LIMIT.bit_length() or q**k > POINT_ENUMERATION_LIMIT:
-        raise GuardError(f"q^k = {q}^{k} exceeds enumeration limit {POINT_ENUMERATION_LIMIT}")
+        raise GuardError(f"q^k = {reprlib.repr(q)}^{k} exceeds enumeration limit "
+                         f"{POINT_ENUMERATION_LIMIT}")
     if k > 1 and l * q ** (k + 1) > MASK_WORK_LIMIT:
         raise GuardError(f"l q^(k+1) = {l} * {q}^{k + 1} exceeds mask work limit {MASK_WORK_LIMIT}")
 
 
 def check_family(normals, k, q):
-    """Normals of length k, nonzero mod q, within the budgets of
+    """Normals of length k >= 0, nonzero mod q, within the budgets of
     check_budget for len(normals) of them."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     for n in normals:
         if len(n) != k:
             raise ValueError(f"normal {n} does not have length k = {k}")

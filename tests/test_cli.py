@@ -259,6 +259,48 @@ def test_integer_usage_errors_name_their_flag(capsys):
     assert err.strip() == "error: --twists must be 'all' or an integer, got 'abc'"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("decide", "--set", "2"), 2),
+    (("certificate", "--set", "2"), 2),
+    (("scan", "--set", "2,3", "--bound", "100"), 0),
+    (("census", "--set", "2", "--bound", "100"), 2),
+    (("oracle-check", "--k-max", "1", "--l-max", "1"), 2),
+    (("synthesize", "--k", "2"), 2),
+], ids=["decide", "certificate", "scan", "census", "oracle-check", "synthesize"])
+def test_each_command_tests_q_for_primality_once(capsys, monkeypatch, argv, code):
+    q = 2**521 - 1
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return arith.is_probable_prime(n)
+
+    monkeypatch.setattr(profiles, "is_probable_prime", counted)
+    got, out, err = run(capsys, argv[0], "--q", str(q), *argv[1:])
+    assert got == code and calls.count(q) == 1
+    # a refusal names q as check_q does, cut short: no 157-digit line
+    assert len(err.encode()) < 200
+    if argv[0] in ("decide", "certificate"):
+        assert err == ("error: q^k = 686479766013060971...2574028291115057151^1 exceeds "
+                       "enumeration limit 100000000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "--set", "2"),
+    ("certificate", "--set", "2,3,6,12"),
+    ("scan", "--set", "2,3", "--bound", "100"),
+    ("census", "--set", "2", "--bound", "100"),
+    ("oracle-check", "--k-max", "1", "--l-max", "1"),
+    ("synthesize", "--k", "2"),
+], ids=["decide", "certificate", "scan", "census", "oracle-check", "synthesize"])
+@pytest.mark.parametrize("q", ["4", "9", "1", "-3", "100000000000000000000"])
+def test_every_command_refuses_a_q_that_is_no_odd_prime(capsys, argv, q):
+    # synthesize at q = 10^20 is also past the mask budget: check_q comes first
+    for json_flag in ((), ("--json",)):
+        got = run(capsys, *json_flag, argv[0], "--q", q, *argv[1:])
+        assert got == (2, "", f"error: q must be an odd prime, got {q}\n")
+
+
 def test_repeated_calls_share_no_state(capsys):
     # the parser is built once per process; each call still parses afresh
     assert cli.build_parser() is cli.build_parser()

@@ -130,6 +130,9 @@ def test_bad_normals_rejected(check):
     # the normal is checked before the size of the space
     with pytest.raises(ValueError, match="zero mod q"):
         check([(0,) * 20], 20, 3)
+    # an empty family has no normal whose length would refuse k < 0
+    with pytest.raises(ValueError, match=r"k must be >= 0, got -1"):
+        check([], -1, 3)
 
 
 def test_covers_guard():
