@@ -11,7 +11,10 @@ one per element, and SPLIT_WORK_LIMIT bounds its elements times its pieces;
 strip_power() divides out the whole power of a divisor in O(log e) steps, not
 e.  odd_prime_flags() is the package's one sieve of Eratosthenes, a bytearray
 of flags over the odd numbers: it yields the trial primes here and every
-prime that primescan counts or scans.
+prime that primescan counts or scans, and odd_primes() is its one plain read.
+power_exceeds() is the package's one test of a power against a limit (points,
+twists, orbits): it decides by bit length first, so it builds no power of
+more than twice the limit's bits.
 
 Primality is proven below psi_13 = 3.3e24: n < psi_t is tested with the
 first t prime witnesses, where psi_t (OEIS A014233) is the least strong
@@ -68,11 +71,12 @@ RHO_ITERATION_LIMIT = 10**7
 # a large element costs far more.  1,500 elements, each the product of a
 # seeded random half of the first 1,500 odd primes (up to 2,731 digits;
 # 2.25e6, 22.5% of the limit), take 15.6-16.0 s in piece_exponents and
-# 127-149 s in the elimination of primescan._symbol_plan, so scan and census
-# spend over two minutes before they walk or refuse.  Through the CLI,
-# Linux's 128 KiB cap on one argv string bounds --set: on 250 such elements
-# over 360 primes (129,815 bytes), the library's decide refuses in 0.2 s,
-# census refuses in 1.2 s and scan answers in 1.2 s.
+# 127-149 s in the elimination of primescan._symbol_plan, so scan spends
+# over two minutes before it walks; census refuses their 3^1500 points before
+# that elimination.  Through the CLI, Linux's 128 KiB cap on one argv string
+# bounds --set: on 250 such elements over 360 primes (129,815 bytes), the
+# library's decide refuses in 0.2 s, census refuses in 0.2 s and scan answers
+# in 1.1 s.
 SPLIT_WORK_LIMIT = 10**7
 
 
@@ -92,11 +96,27 @@ def odd_prime_flags(bound):
     return flags
 
 
+def odd_primes(bound):
+    """The odd primes up to bound, in order: the one plain read of
+    odd_prime_flags."""
+    return compress(range(3, bound + 1, 2), odd_prime_flags(bound))
+
+
+def power_exceeds(base, exp, limit) -> bool:
+    """base^exp > limit, for integers base, exp, limit >= 0, decided by bit
+    length before any power is built.  A base >= 2 has base^exp >=
+    2^((bitlen(base) - 1) exp), which exceeds the limit once that exponent
+    reaches bitlen(limit); below it, base^exp < 2^(bitlen(base) exp) has
+    under twice the limit's bits, and is built.  Bases 0 and 1 fall through
+    to their powers, which take no space."""
+    return (base.bit_length() - 1) * exp >= limit.bit_length() or base**exp > limit
+
+
 # The trial-division bound: the 564 primes below it, 2 to 4093, and their
 # product (5,811 bits); gcd(m, _TRIAL_PRODUCT) holds exactly the primes of m
 # below _TRIAL_BOUND
 _TRIAL_BOUND = 1 << 12
-_TRIAL_PRIMES = (2, *compress(range(3, _TRIAL_BOUND, 2), odd_prime_flags(_TRIAL_BOUND)))
+_TRIAL_PRIMES = (2, *odd_primes(_TRIAL_BOUND))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 

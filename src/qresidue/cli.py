@@ -13,8 +13,11 @@ rendered before its first byte is written, so a failed rendering writes none.
 Each flag is converted by its argparse type=, and each usage error, argparse's
 own included, is one bounded "error:" line on stderr, with no usage text.
 --q is converted only to an integer: each command tests that it is an odd
-prime once, at the library entry it passes through (QInput, the oracle
-sweeps, or check_q first in synthesize).  So an argv with two faults, such as
+prime once before any answer or refusal that depends on q, at the library
+entry it passes through (QInput, the oracle sweeps, or check_q first in
+synthesize), and once more for each library door it enters after that: the
+QInput of synthesize's self-check, and has_qth_power_mod_p when scan reports
+a failing prime (which it tests too).  So an argv with two faults, such as
 scan --q 4 --set 2 --bound 1, may be refused for its other fault first, with
 exit 2 either way.
 """
@@ -31,7 +34,7 @@ from itertools import product
 from math import prod
 
 from . import criterion
-from .arith import is_probable_prime
+from .arith import is_probable_prime, power_exceeds
 from .covering import CoveringResult, GuardError, check_budget, synthesize_covering
 from .criterion import Verdict, decide
 from .profiles import QInput, check_count, check_q
@@ -174,12 +177,7 @@ def cmd_certificate(args):
     decision, result = _decision_result(args)
     profile = decision.profile
     if decision.verdict is Verdict.YES:
-        c = args.c if args.c is not None else [1] * profile.l
-        if len(c) != profile.l:
-            raise UsageError(
-                f"--c must have {profile.l} entries (one per deduplicated column)"
-            )
-        cert = criterion.skalba_solve(profile, c)
+        cert = criterion.skalba_solve(profile, args.c or [1] * profile.l)
         if cert is None:
             raise RuntimeError("Skalba condition failed on a Yes-instance")
         exponents = [ci * fi % args.q for ci, fi in zip(cert.c, cert.f)]
@@ -274,10 +272,10 @@ def cmd_synthesize(args):
         return 0, result
     q = args.q
     if args.twists == "all":
-        count = (q - 1) ** len(B)
-        if count > TWIST_ORBIT_LIMIT:
+        if power_exceeds(q - 1, len(B), TWIST_ORBIT_LIMIT):
             raise GuardError(f"(q-1)^l = {q - 1}^{len(B)} exceeds orbit limit {TWIST_ORBIT_LIMIT}; "
                              "use --twists N")
+        count = (q - 1) ** len(B)
         exponents = product(range(1, q), repeat=len(B))
     else:
         count = args.twists

@@ -32,7 +32,7 @@ import sys
 from functools import cached_property, reduce
 from operator import lshift, or_
 
-from .arith import GuardError
+from .arith import GuardError, power_exceeds
 
 # Bound on q^k, the points: the gaps, each owned part, the Yes assignment and
 # each owner and label column hold one bit or cell per point.
@@ -261,13 +261,13 @@ def check_budget(l, k, q):
     budget (q^k) and the mask budget (l q^(k+1) at k >= 2).
 
     Both charges grow with l and k, so a caller that may meet any family of
-    at most l normals of length at most k asks once, for (l, k, q).  A k at
-    or above the point limit's bit length is refused without computing q^k,
-    since any base >= 2 to that power exceeds the limit; past the point
-    test, q^(k+1) is at most q times the limit.  So no power grows large.
-    The point refusal writes q as check_q does, cut short past 40 digits;
-    the mask refusal needs no cut, as q^2 <= q^k is within the point limit."""
-    if k >= POINT_ENUMERATION_LIMIT.bit_length() or q**k > POINT_ENUMERATION_LIMIT:
+    at most l normals of length at most k asks once, for (l, k, q).  The
+    point test is arith.power_exceeds, which builds no q^k far past the
+    limit; past it, q^(k+1) is at most q times the limit.  So no power grows
+    large.  The point refusal writes q as check_q does, cut short past 40
+    digits; the mask refusal needs no cut, as q^2 <= q^k is within the point
+    limit."""
+    if power_exceeds(q, k, POINT_ENUMERATION_LIMIT):
         raise GuardError(f"q^k = {reprlib.repr(q)}^{k} exceeds enumeration limit "
                          f"{POINT_ENUMERATION_LIMIT}")
     if k > 1 and l * q ** (k + 1) > MASK_WORK_LIMIT:

@@ -19,12 +19,12 @@ Constructive witnesses are available in both directions.
 import random
 from collections import namedtuple
 from enum import Enum
-from itertools import compress, islice, product
+from itertools import islice, product
 from math import log, prod
 from operator import mul
 
 from . import fqlinalg
-from .arith import integer_qth_root, odd_prime_flags
+from .arith import integer_qth_root, odd_primes, power_exceeds
 from .covering import CoveringResult, GuardError, _point, check_budget, covers
 from .profiles import (QInput, ResidueProfile, TrivialCertificate, build_profile, check_count,
                        check_q, hyperplanes_of)
@@ -76,7 +76,7 @@ def twisted_matrix(M, q, c) -> list[list[int]]:
 
 def _check_c(M, q, c):
     if len(c) != len(M[0]):
-        raise ValueError("c must have one entry per column of M")
+        raise ValueError(f"c must have {len(M[0])} entries (one per deduplicated column)")
     if any(cj % q == 0 for cj in c):
         raise ValueError("entries of c must be nonzero mod q")
 
@@ -111,11 +111,12 @@ def skalba_oracle(M, q) -> bool:
 
     One rref per matrix: each twist is a dot-product test against a basis of
     Null(M) (see _twist_test), stopping at the first twist that fails.  Each
-    tuple is read as u = c^-1, which runs over (F_q^*)^l as c does.  An l at
-    or above the limit's bit length is refused without computing (q-1)^l.
+    tuple is read as u = c^-1, which runs over (F_q^*)^l as c does.  The
+    count (q-1)^l is held to the limit by arith.power_exceeds, which builds
+    no large power.
     """
     l, limit = len(M[0]), ORACLE_ENUMERATION_LIMIT
-    if l >= limit.bit_length() or (q - 1) ** l > limit:
+    if power_exceeds(q - 1, l, limit):
         raise GuardError(f"(q-1)^l = {q - 1}^{l} exceeds oracle limit {limit}")
     return all(map(_twist_test(M, q), product(range(1, q), repeat=l)))
 
@@ -179,8 +180,7 @@ def first_odd_primes(q, k):
     bound p_n < n (ln n + ln ln n) for n >= 6 bounds the sieve."""
     n = max(k + 2, 6)
     bound = int(n * (log(n) + log(log(n)))) + 1
-    odd_primes = compress(range(3, bound + 1, 2), odd_prime_flags(bound))
-    return tuple(islice((p for p in odd_primes if p != q), k))
+    return tuple(islice((p for p in odd_primes(bound) if p != q), k))
 
 
 # --- covering-vs-oracle agreement sweeps -----------------------------------
@@ -248,16 +248,16 @@ def oracle_check_random(q, k_max, l_max, trials, seed):
 
     Raises ValueError if trials < 1, and GuardError if trials exceeds
     ORACLE_INSTANCE_LIMIT, if trials (q-1)^l_max, a bound on the Skalba
-    checks, exceeds ORACLE_ENUMERATION_LIMIT (its exponent capped at the
-    limit's bit length, which any base >= 2 to that power exceeds), or if
-    the largest instance the sweep can draw, l_max normals of length k_max,
-    is over the covering engine's budgets (covering.check_budget).  All of
-    these are raised before any instance is drawn.
+    checks, exceeds ORACLE_ENUMERATION_LIMIT (that is, if (q-1)^l_max
+    exceeds the limit // trials, by arith.power_exceeds), or if the largest
+    instance the sweep can draw, l_max normals of length k_max, is over the
+    covering engine's budgets (covering.check_budget).  All of these are
+    raised before any instance is drawn.
     """
     _check_sizes(q, k_max, l_max)
     check_count("--trials", trials, ORACLE_INSTANCE_LIMIT)
     limit = ORACLE_ENUMERATION_LIMIT
-    if trials * (q - 1) ** min(l_max, limit.bit_length()) > limit:
+    if power_exceeds(q - 1, l_max, limit // trials):
         raise GuardError(f"{trials} trials x (q-1)^{l_max} exceeds {limit} Skalba checks")
     check_budget(l_max, k_max, q)
     rng = random.Random(seed)

@@ -50,7 +50,7 @@ from itertools import compress, islice
 from math import prod
 from operator import itemgetter
 
-from .arith import is_probable_prime, odd_prime_flags
+from .arith import is_probable_prime, odd_prime_flags, odd_primes
 from .covering import uncovered_count
 from .fqlinalg import rref
 from .profiles import QInput, check_count, check_q, piece_exponents
@@ -96,7 +96,7 @@ def primes_up_to(bound):
         return
     check_count("--bound", bound, SCAN_BOUND_LIMIT, 2)
     yield 2
-    yield from compress(range(3, bound + 1, 2), odd_prime_flags(bound))
+    yield from odd_primes(bound)
 
 
 def _split_primes(flags, q, product, lo, hi):
@@ -137,19 +137,20 @@ def has_qth_power_mod_p(B, p, q) -> PrimeCheckReport:
 
 
 def _plan(B, q, bound):
-    """Validated B as a tuple, its vectors from profiles.piece_exponents and
-    their _symbol_plan.  bound is checked first and B next, so that every
-    refusal comes before any sieve."""
+    """Validated B as a tuple and its vectors from profiles.piece_exponents,
+    or None for the vectors when some element is +-(a q-th power) and so a
+    residue at every prime.  bound is checked first and B next, so that
+    every refusal comes before any sieve."""
     check_count("--bound", bound, SCAN_BOUND_LIMIT, 2)
     qinput = QInput(q, B)
     vectors = piece_exponents(qinput)[1]
-    return qinput.elements, vectors, _symbol_plan(qinput.elements, vectors, q)
+    return qinput.elements, vectors if all(map(any, vectors)) else None
 
 
 def _symbol_plan(B, vectors, q):
     """Euler's criterion on an independent subset of B, the rest by
-    multiplicativity: a list of steps (pivot, ready), or None when some
-    element is +-(a q-th power) and so a residue at every prime.
+    multiplicativity: a list of steps (pivot, ready), for vectors none of
+    which is zero.
 
     Pivots that most other elements depend on come first.  ready holds one
     getter per element whose pivots are all among the steps so far: applied
@@ -159,8 +160,6 @@ def _symbol_plan(B, vectors, q):
     value is a power of that pivot's value by a unit mod q, so it is 1 only
     when the pivot's is.
     """
-    if not all(any(v) for v in vectors):
-        return None
     # column j of the rref writes element j on the pivot elements
     R, rank, pivots = rref(list(zip(*vectors)), q)
     dependents = [
@@ -325,9 +324,10 @@ def _reply(children, i, cap):
 
 def find_counterexample_prime(B, q, bound) -> int | None:
     """First prime <= bound (outside the excluded set) where no element is a residue."""
-    B, _, plan = _plan(B, q, bound)
-    if plan is None:  # no prime fails, so none is sieved
+    B, vectors = _plan(B, q, bound)
+    if vectors is None:  # no prime fails, so none is sieved
         return None
+    plan = _symbol_plan(B, vectors, q)
     _, head = _failing_walk(plan, q, odd_prime_flags(bound), prod(B), 1, False)
     return head[0] if head else None
 
@@ -350,16 +350,16 @@ def _density(vectors, q):
 def census(B, q, bound) -> DensityReport:
     """Count the primes <= bound, scan the split ones, and tabulate failure
     density vs the prediction."""
-    B, vectors, plan = _plan(B, q, bound)
-    # first, so that a GuardError comes before the scan, not after it
-    predicted = Fraction(0) if plan is None else _density(vectors, q)
+    B, vectors = _plan(B, q, bound)
+    # first, so that a GuardError comes before the elimination and the scan
+    predicted = Fraction(0) if vectors is None else _density(vectors, q)
     divisors = _excluded(B, q, bound)
     excluded = len(divisors) + (q <= bound)
     flags = odd_prime_flags(bound)
     primes = 1 + flags.count(1)  # 2, since bound >= 2, and the odd primes
     split = flags[q - 1 :: q].count(1) - sum(p % q == 1 for p in divisors)
-    failing_count, failing = (0, ()) if plan is None else \
-        _failing_walk(plan, q, flags, prod(B), _FAILING_LIST_CAP, True)
+    failing_count, failing = (0, ()) if vectors is None else \
+        _failing_walk(_symbol_plan(B, vectors, q), q, flags, prod(B), _FAILING_LIST_CAP, True)
     checked = primes - excluded
     empirical = Fraction(failing_count, checked) if checked else Fraction(0)
     return DensityReport(

@@ -20,6 +20,8 @@ from qresidue.arith import (
     integer_qth_root,
     is_probable_prime,
     odd_prime_flags,
+    odd_primes,
+    power_exceeds,
     strip_power,
 )
 
@@ -130,6 +132,36 @@ def test_is_probable_prime_matches_the_sieve():
     assert bytearray(map(is_probable_prime, range(3, n, 2))) == odd_prime_flags(n - 1)
     assert [m for m in range(3) if is_probable_prime(m)] == [2]
     assert not any(map(is_probable_prime, range(4, n, 2)))
+
+
+def test_odd_primes_match_a_plain_sieve():
+    # every bound puts the sieve's end on odd and even numbers, on primes
+    # and on their squares
+    prime = [False, False] + [True] * 1999
+    for d in range(2, 45):
+        for m in range(d * d, 2001, d):
+            prime[m] = False
+    odd = [n for n in range(3, 2001, 2) if prime[n]]
+    for bound in range(2001):
+        assert list(odd_primes(bound)) == [p for p in odd if p <= bound]
+
+
+def test_power_exceeds_matches_the_power():
+    for base in range(8):
+        for exp in range(41):
+            for limit in (0, 1, 2, 10, 10**5, 10**7, 10**8):
+                assert power_exceeds(base, exp, limit) == (base**exp > limit), (base, exp, limit)
+
+
+def test_power_exceeds_builds_no_large_power():
+    # 3^(10^18) would take some 2 * 10^17 bytes: the bit lengths decide
+    tracemalloc.start()
+    try:
+        assert power_exceeds(3, 10**18, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000, peak
 
 
 def test_factorize_examples():

@@ -218,7 +218,7 @@ def test_list_usage_errors_name_their_flag(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("certificate", "--q", "3", "--set", "2,3,6,12", "--c", "1,1"),
-     "--c must have 4 entries (one per deduplicated column)"),
+     "c must have 4 entries (one per deduplicated column)"),
     (("synthesize", "--q", "3", "--k", "1"), "--k must be >= 2"),
     (("synthesize", "--q", "3", "--k", "3", "--primes", "5,7"), "need at least 3 primes"),
     (("synthesize", "--q", "7", "--k", "2", "--twists", "all"),
@@ -259,25 +259,36 @@ def test_integer_usage_errors_name_their_flag(capsys):
     assert err.strip() == "error: --twists must be 'all' or an integer, got 'abc'"
 
 
-@pytest.mark.parametrize("argv, code", [
-    (("decide", "--set", "2"), 2),
-    (("certificate", "--set", "2"), 2),
-    (("scan", "--set", "2,3", "--bound", "100"), 0),
-    (("census", "--set", "2", "--bound", "100"), 2),
-    (("oracle-check", "--k-max", "1", "--l-max", "1"), 2),
-    (("synthesize", "--k", "2"), 2),
-], ids=["decide", "certificate", "scan", "census", "oracle-check", "synthesize"])
-def test_each_command_tests_q_for_primality_once(capsys, monkeypatch, argv, code):
-    q = 2**521 - 1
+_Q521 = 2**521 - 1
+
+
+@pytest.mark.parametrize("q, argv, code, tested", [
+    (_Q521, ("decide", "--set", "2"), 2, [_Q521]),
+    (_Q521, ("certificate", "--set", "2"), 2, [_Q521]),
+    (_Q521, ("scan", "--set", "2,3", "--bound", "100"), 0, [_Q521]),
+    (_Q521, ("census", "--set", "2", "--bound", "100"), 2, [_Q521]),
+    (_Q521, ("oracle-check", "--k-max", "1", "--l-max", "1"), 2, [_Q521]),
+    (_Q521, ("synthesize", "--k", "2"), 2, [_Q521]),
+    # answers that enter a second library door, which tests q again: the
+    # self-check's QInput, and has_qth_power_mod_p (with the prime it reports)
+    (7, ("synthesize", "--k", "3"), 0, [7, 7]),
+    (3, ("scan", "--set", "2,3,6", "--bound", "100"), 1, [3, 3, 13]),
+], ids=["decide", "certificate", "scan", "census", "oracle-check", "synthesize",
+        "synthesize-answer", "scan-failing-prime"])
+def test_each_command_tests_q_for_primality_once(capsys, monkeypatch, q, argv, code, tested):
+    # q is tested once before any answer or refusal that depends on it, and
+    # once more for each library door entered after that
+    from qresidue import primescan
     calls = []
 
     def counted(n):
         calls.append(n)
         return arith.is_probable_prime(n)
 
-    monkeypatch.setattr(profiles, "is_probable_prime", counted)
+    for module in (profiles, primescan):
+        monkeypatch.setattr(module, "is_probable_prime", counted)
     got, out, err = run(capsys, argv[0], "--q", str(q), *argv[1:])
-    assert got == code and calls.count(q) == 1
+    assert got == code and calls == tested
     # a refusal names q as check_q does, cut short: no 157-digit line
     assert len(err.encode()) < 200
     if argv[0] in ("decide", "certificate"):

@@ -100,6 +100,14 @@ def test_skalba_oracle_refuses_a_long_row_without_computing_its_power():
     assert str(refused.value) == "(q-1)^l = 2^20000 exceeds oracle limit 10000000"
 
 
+def test_skalba_oracle_answers_a_long_row_over_f2():
+    # (q-1)^l = 1^24 = 1 twist, within the limit however long the row: the
+    # oracle answers as the one-twist reference does
+    for M in ([[1] * 24], [[1, 0] * 12]):
+        assert skalba_oracle(M, 2) == skalba_condition_holds(M, 2, [1] * 24)
+    assert not skalba_oracle([[1] * 24], 2) and skalba_oracle([[1, 0] * 12], 2)
+
+
 def test_skalba_solve_reference_certificate():
     cert = skalba_solve(build_profile(CUBE_YES), [1, 1, 1, 1])
     assert cert.f == (2, 2, 1, 0)

@@ -5,7 +5,6 @@ import threading
 import warnings
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
 from math import isqrt, prod
 
 import pytest
@@ -38,7 +37,7 @@ def test_primes_up_to_matches_naive():
     for bound in range(301):
         primes = _trial_division_primes(bound)
         assert list(primes_up_to(bound)) == primes
-        assert list(compress(range(3, bound + 1, 2), odd_prime_flags(bound))) == primes[1:]
+        assert list(arith.odd_primes(bound)) == primes[1:]
 
 
 def test_trial_primes_are_the_primes_below_4096():
@@ -163,6 +162,7 @@ def _no_scan(monkeypatch):
         raise AssertionError("primes were sieved before the guard")
 
     monkeypatch.setattr(primescan, "odd_prime_flags", fail)
+    monkeypatch.setattr(arith, "odd_prime_flags", fail)  # under primes_up_to
 
 
 def test_census_guard_fires_before_the_scan(monkeypatch):
@@ -170,6 +170,19 @@ def test_census_guard_fires_before_the_scan(monkeypatch):
     _no_scan(monkeypatch)
     with pytest.raises(GuardError):
         census(eighteen_primes, 3, 2 * 10**6)
+
+
+def test_census_guard_fires_before_the_elimination(monkeypatch):
+    # the q^k refusal depends only on the piece vectors, so the symbol plan's
+    # rref (minutes on large elements) is never built for a refused census
+    def unplanned(*args):
+        raise AssertionError("the symbol plan was built before the guard")
+
+    monkeypatch.setattr(primescan, "_symbol_plan", unplanned)
+    eighteen_primes = [p for p in primes_up_to(67) if p != 3]
+    with pytest.raises(GuardError) as refused:
+        census(eighteen_primes, 3, 100)
+    assert str(refused.value) == "q^k = 3^18 exceeds enumeration limit 100000000"
 
 
 def test_scan_bound_budget_fires_before_the_scan(monkeypatch):
