@@ -106,19 +106,20 @@ def _render_assignment(covering, head, mid, sep):
     of the largest, so the text has at most W (q^k - 1) bytes; over
     ASSIGNMENT_TEXT_LIMIT, that is a GuardError before any buffer is built.
     The entries are one bytearray whose byte columns are written by
-    extended-slice assignments.  The buffer starts as the origin's entry and
-    takes the coordinates from the last: it is repeated q times, and copy d
-    gets digit d in the column of the coordinate.  Then the covering's
-    write_labels writes the NUL-padded decimal indices over each entry's
-    index, still the origin's, label 0 (see its precondition).  Last, the
-    origin's entry and the last separator are cut out, and the NULs too
-    when q > 10 or l > 10: only then is a key or an index padded.
+    extended-slice assignments.  The buffer starts as one entry with NUL in
+    every key and index byte, and takes the coordinates from the last: it is
+    repeated q times, and copy d gets digit d in the column of the
+    coordinate.  Then the covering's write_labels writes the NUL-padded
+    decimal indices into the index bytes, which still hold 0 as its
+    precondition asks.  Last, the origin's entry and the last separator are
+    cut out, and the NULs too when q > 10 or l > 10: only then is a key or
+    an index padded.
     """
     q, k, n, l = covering.q, covering.k, covering.q**covering.k, len(covering.normals)
     keys = [str(d).rjust(len(str(q - 1)), "\0").encode() for d in range(q)]
     labels = [str(i).rjust(len(str(l - 1)), "\0").encode() for i in range(l)]
-    entry = b"%s%s%s%s%s" % (head.encode(), b",".join([keys[0]] * k), mid.encode(), labels[0],
-                             sep.encode())
+    entry = b"%s%s%s%s%s" % (head.encode(), b",".join([bytes(len(keys[0]))] * k), mid.encode(),
+                             bytes(len(labels[0])), sep.encode())
     width, step = len(entry), len(keys[0]) + 1
     if width * (n - 1) > ASSIGNMENT_TEXT_LIMIT:
         raise GuardError(f"the assignment of {q}^{k} - 1 points needs up to {width * (n - 1)} "
@@ -210,6 +211,8 @@ def cmd_scan(args):
     if p is None:
         return 0, {"counterexample_prime": None, "bound": args.bound}
     report = primescan.has_qth_power_mod_p(args.set, p, args.q)
+    if any(r for _, r in report.per_element):
+        raise RuntimeError(f"scan's prime {p} has a {args.q}-th power residue in the set")
     return 1, {
         "counterexample_prime": p,
         "splits": report.splits,

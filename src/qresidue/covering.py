@@ -20,17 +20,17 @@ their popcount (uncovered_count keeps no owned part; covers keeps them all
 for its assignment).  The Yes assignment lists, in the same order, the
 index of the first normal whose hyperplane holds each nonzero point: its
 owner.  Only CoveringResult.write_labels reads it off the owned points,
-into a buffer its caller lays out.  It builds one owner column (one byte
-per point, its owner's number) from the bit planes of those numbers, and
-translates that column once per label byte that some owner's label has
-nonzero, written with one strided slice assignment: the library's index
-array takes 4-byte labels, the CLI's text its decimal ones.
+under one byte-string label per normal, into a strided buffer.  It builds
+one owner column (one byte per point, its owner's number) from the bit
+planes of those numbers, and translates that column once per label byte
+that some owner's label has nonzero, written with one strided slice
+assignment.
 """
 
 import reprlib
 import sys
 from functools import cached_property, reduce
-from operator import lshift, or_
+from operator import lshift, mul, or_
 
 from .arith import GuardError, power_exceeds
 
@@ -164,8 +164,8 @@ class CoveringResult:
     and the points each normal owns.  A family of at most q classes covers
     nothing and is walked only when `witness` or `write_labels` asks.  The
     walk stops at a full cover, so a normal after it builds no mask.  The
-    assignment is written by `write_labels`, which writes the CLI's text of
-    it too.
+    assignment is written by `write_labels`.  The witness is checked against
+    every normal before it is returned: a RuntimeError if one holds it.
     """
 
     def __init__(self, normals, k, q):
@@ -193,7 +193,10 @@ class CoveringResult:
         if self.covered:
             return None
         gaps = self._walked[0]
-        return _point((gaps & -gaps).bit_length() - 1, self.k, self.q)
+        point = _point((gaps & -gaps).bit_length() - 1, self.k, self.q)
+        if any(sum(map(mul, n, point)) % self.q == 0 for n in self.normals):
+            raise RuntimeError(f"witness {point} lies on a hyperplane of the family")
+        return point
 
     @cached_property
     def assignment(self) -> memoryview | None:
@@ -210,11 +213,8 @@ class CoveringResult:
         hyperplane holds point j of F_q^k (lexicographic order, the origin
         j = 0), or 0 where none does, goes to out[at + t + j * stride].
 
-        Precondition: out already holds 0 at every out[at + t :: stride] for
-        which byte t of each owner's label is 0, since no column is built or
-        written for such a t.  The library's cells start zeroed.  The CLI's
-        text starts with label 0, NUL but for its last byte, at every entry,
-        and the last byte, a digit in every label, is never skipped.
+        Precondition: out holds 0 at every label byte out[at + t + j * stride],
+        since a byte t that is 0 in every owner's label is left untouched.
 
         The owners are read off `_walked`, the one walk that also settles
         `covered`: normal i owns the points no earlier normal holds, and no

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from test_covering import pencil_owner
 
-from qresidue import arith, cli, covering, criterion, profiles
+from qresidue import arith, cli, covering, criterion, primescan, profiles
 from qresidue.arith import coprime_base
 from qresidue.cli import main
 
@@ -278,7 +278,6 @@ _Q521 = 2**521 - 1
 def test_each_command_tests_q_for_primality_once(capsys, monkeypatch, q, argv, code, tested):
     # q is tested once before any answer or refusal that depends on it, and
     # once more for each library door entered after that
-    from qresidue import primescan
     calls = []
 
     def counted(n):
@@ -750,6 +749,31 @@ def test_failed_cli_self_checks_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "synthesize", "--q", "3", "--k", "2")
     assert (code, out) == (3, "")
     assert err == "internal error: RuntimeError: synthesized set failed its own covering check\n"
+    monkeypatch.undo()
+    # a No witness on a hyperplane: with no mask built, the origin is the first gap
+    monkeypatch.setattr(covering, "zero_mask", lambda normal, q: 0)
+    for cmd in ("decide", "certificate"):
+        code, out, err = run(capsys, cmd, "--q", "3", "--set", "2,3,6,12")
+        assert (code, out) == (3, "")
+        assert err == ("internal error: RuntimeError: witness (0, 0) lies on a hyperplane of "
+                       "the family\n")
+    monkeypatch.undo()
+    # scan's prime, at which its own report finds 6 a residue
+    monkeypatch.setattr(primescan, "_fails", lambda plan, p, q: True)
+    code, out, err = run(capsys, "scan", "--q", "3", "--set", "2,3,6,12", "--bound", "100")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: scan's prime 7 has a 3-th power residue in the set\n"
+
+
+def test_assignment_index_bytes_start_at_zero(monkeypatch):
+    # without write_labels every index field is empty: at l = 11 the NUL
+    # padding is stripped, and the template holds no label of its own
+    monkeypatch.setattr(covering.CoveringResult, "write_labels", lambda self, *args: None)
+    elements = (5, 7, 35, 245, 11, 13, 17, 19, 23, 29, 31)
+    result = criterion.decide(profiles.QInput(3, elements)).covering
+    lines = cli._render_assignment(result, "", ": ", "\n").split("\n")
+    assert len(lines) == 3**9 - 1 and lines[0] == "0,0,0,0,0,0,0,0,1: "
+    assert all(line.endswith(": ") for line in lines)
 
 
 def test_oracle_disagreements_exit_1(capsys, monkeypatch):
