@@ -10,8 +10,16 @@ before the output is written (a broken pipe, as 128 + SIGPIPE); the last three
 are never a verdict.  An exception raised while the answer is rendered or
 written maps to these codes like one raised by the command; the answer is all
 rendered before its first byte is written, so a failed rendering writes none.
-Each flag is converted by its argparse type=, and each usage error, argparse's
-own included, is one bounded "error:" line on stderr, with no usage text.
+The six commands and their flags are declared once, in COMMANDS.  main parses
+a plain argv straight from that table: an optional leading --json, a command
+name, then each of its flags at most once, spelled in full, as --flag=value or
+as --flag value with a value that does not start with "-", with every
+required flag given and every choice valid.  Each flag's converter runs in
+argv order, as argparse would run it.  Any other argv (help, an abbreviated or
+repeated flag, --set -2,3, an unknown or missing flag) goes to argparse, whose
+parser build_parser builds from the same table, and argparse is imported only
+then.  Each usage error, argparse's own included, is one bounded "error:"
+line on stderr, with no usage text.
 --q is converted only to an integer: each command tests that it is an odd
 prime once before any answer or refusal that depends on q, at the library
 entry it passes through (QInput, the oracle sweeps, or check_q first in
@@ -22,16 +30,17 @@ scan --q 4 --set 2 --bound 1, may be refused for its other fault first, with
 exit 2 either way.
 """
 
-import argparse
 import json
 import os
 import random
 import reprlib
 import sys
 import time
+from collections import namedtuple
 from functools import cache
 from itertools import product
 from math import prod
+from types import SimpleNamespace
 
 from . import criterion
 from .arith import is_probable_prime, power_exceeds
@@ -57,11 +66,6 @@ SYNTHESIZE_K_LIMIT = 10**3
 
 class UsageError(Exception):  # no ValueError: argparse rewrites those from a type= converter
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse's own usage errors; a long value keeps its head and tail
-        raise UsageError(message if len(message) <= 200 else f"{message[:100]}...{message[-100:]}")
 
 
 def _parse_int(text, name, malformed=None):
@@ -370,79 +374,124 @@ def _is_flat(val):
     return isinstance(val, list) and all(not isinstance(x, (dict, list)) for x in val)
 
 
+REQUIRED = object()  # the default of a flag that must be given
+
+
+# A flag of a command: its name, the converter of its text, its default
+# (REQUIRED if it must be given), its choices and its help.
+Flag = namedtuple("Flag", "name convert default choices help", defaults=(REQUIRED, None, None))
+
+
+def _int_flag(name, default=REQUIRED):  # an integer flag, named in its errors
+    return Flag(name, lambda text: _parse_int(text, name), default)
+
+
+_Q, _BOUND, _SEED = _int_flag("--q"), _int_flag("--bound"), _int_flag("--seed", 0)
+_SET = Flag("--set", _parse_set)
+
+# Each command: its handler, its help and its flags, in the order of the
+# envelope's input and of the help text.
+COMMANDS = {
+    "decide": (cmd_decide, "verdict + covering certificate or witness", (_Q, _SET)),
+    "certificate": (cmd_certificate, "Skalba certificate or failing twist", (
+        _Q, _SET, Flag("--c", lambda text: _parse_set(text, "--c", "--c entries"), None,
+                       help="twist vector, comma-separated"))),
+    "scan": (cmd_scan, "search for a counterexample prime", (_Q, _SET, _BOUND)),
+    "census": (cmd_census, "empirical vs predicted failure density", (_Q, _SET, _BOUND)),
+    "synthesize": (cmd_synthesize, "generate pencil-covering fixtures", (
+        _Q, _int_flag("--k"),
+        Flag("--primes", lambda text: _parse_set(text, "--primes", "--primes entries"), None),
+        Flag("--twists", _parse_twists, None, help="'all' or a sample count"), _SEED)),
+    "oracle-check": (cmd_oracle_check, "covering vs Skalba brute force", (
+        _Q, _int_flag("--k-max"), _int_flag("--l-max"),
+        Flag("--mode", str, "exhaustive", ("exhaustive", "random")),
+        _int_flag("--trials", 200), _SEED)),
+}
+
+
+def _parse_plain(argv):
+    """(json, command, values) of a plain argv, or None for any other argv.
+    values maps each flag, named as argparse names its dest, to its
+    converted value or its default, in the table's order; the converters run
+    in argv order, so a bad value raises what argparse would raise first."""
+    as_json = argv[:1] == ["--json"]
+    command, *rest = (argv[1:] if as_json else argv) or [None]
+    if command not in COMMANDS:
+        return None
+    flags = {flag.name: flag for flag in COMMANDS[command][2]}
+    texts = {}
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if not eq:
+            text = next(tokens, "-")  # no value at the end: not plain
+            if text.startswith("-"):
+                return None
+        if name not in flags or name in texts:
+            return None
+        texts[name] = text
+    for flag in flags.values():
+        if flag.name not in texts:
+            if flag.default is REQUIRED:
+                return None
+        elif flag.choices and texts[flag.name] not in flag.choices:
+            return None
+    values = {name: flags[name].convert(text) for name, text in texts.items()}
+    return as_json, command, {name[2:].replace("-", "_"): values.get(name, flag.default)
+                              for name, flag in flags.items()}
+
+
 @cache
 def build_parser():
-    """The argument parser, built once per process: parse_args() keeps no
-    state between calls, and building six subparsers costs more than a small
-    op."""
-    parser = _Parser(
+    """The argument parser of COMMANDS, built once per process: parse_args()
+    keeps no state between calls, and building six subparsers costs more than
+    a small op.  Only an argv that is not plain comes here."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse's own usage errors
+            if len(message) > 200:  # a long value keeps its head and tail
+                message = f"{message[:100]}...{message[-100:]}"
+            raise UsageError(message)
+
+    parser = Parser(
         prog="qresidue",
         description="Decide q-th power residues modulo almost every prime "
         "via hyperplane coverings of F_q^k",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):  # every command takes --q
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        add_int(p, "--q", required=True)
-        return p
-
-    def add_int(p, flag, **kwargs):  # an integer flag, named in its errors
-        p.add_argument(flag, type=lambda text: _parse_int(text, flag), **kwargs)
-
-    p = add("decide", cmd_decide, help="verdict + covering certificate or witness")
-    p.add_argument("--set", required=True, type=_parse_set)
-
-    p = add("certificate", cmd_certificate, help="Skalba certificate or failing twist")
-    p.add_argument("--set", required=True, type=_parse_set)
-    p.add_argument("--c", default=None, help="twist vector, comma-separated",
-                   type=lambda text: _parse_set(text, "--c", "--c entries"))
-
-    p = add("scan", cmd_scan, help="search for a counterexample prime")
-    p.add_argument("--set", required=True, type=_parse_set)
-    add_int(p, "--bound", required=True)
-
-    p = add("census", cmd_census, help="empirical vs predicted failure density")
-    p.add_argument("--set", required=True, type=_parse_set)
-    add_int(p, "--bound", required=True)
-
-    p = add("synthesize", cmd_synthesize, help="generate pencil-covering fixtures")
-    add_int(p, "--k", required=True)
-    p.add_argument("--primes", default=None,
-                   type=lambda text: _parse_set(text, "--primes", "--primes entries"))
-    p.add_argument("--twists", default=None, help="'all' or a sample count", type=_parse_twists)
-    add_int(p, "--seed", default=0)
-
-    p = add("oracle-check", cmd_oracle_check, help="covering vs Skalba brute force")
-    add_int(p, "--k-max", dest="k_max", required=True)
-    add_int(p, "--l-max", dest="l_max", required=True)
-    p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
-    add_int(p, "--trials", default=200)
-    add_int(p, "--seed", default=0)
-
+    for command, (_, summary, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag in flags:
+            required = flag.default is REQUIRED
+            p.add_argument(flag.name, type=flag.convert, required=required,
+                           default=None if required else flag.default, choices=flag.choices,
+                           help=flag.help)
     return parser
+
+
+def _parse_args(argv):
+    """(json, command, values) of argv as argparse parses it."""
+    values = vars(build_parser().parse_args(argv))
+    return values.pop("json"), values.pop("command"), values
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        as_json, command, values = _parse_plain(argv) or _parse_args(argv)
         start = time.perf_counter()
-        code, result = args.func(args)
+        code, result = COMMANDS[command][0](SimpleNamespace(**values))
         envelope = {
             "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "input": {
-                key: val
-                for key, val in vars(args).items()
-                if key not in ("func", "json", "command") and val is not None
-            },
+            "command": command,
+            "input": {key: val for key, val in values.items() if val is not None},
             "result": result,
             "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
         }
         # rendered in full before the first byte is written
-        sys.stdout.writelines(_render_json(envelope) if args.json else _render_text(envelope))
+        sys.stdout.writelines(_render_json(envelope) if as_json else _render_text(envelope))
         sys.stdout.flush()
         return code
     except SystemExit as e:  # -h: argparse has printed the help

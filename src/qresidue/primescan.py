@@ -349,7 +349,10 @@ def _density(vectors, q):
 
 def census(B, q, bound) -> DensityReport:
     """Count the primes <= bound, scan the split ones, and tabulate failure
-    density vs the prediction."""
+    density vs the prediction.  The report is checked before it is returned:
+    Euler's criterion on every element of B finds no residue at a listed
+    failing prime, and a predicted density of 0 counts no failing prime;
+    either fault is a RuntimeError."""
     B, vectors = _plan(B, q, bound)
     # first, so that a GuardError comes before the elimination and the scan
     predicted = Fraction(0) if vectors is None else _density(vectors, q)
@@ -360,6 +363,12 @@ def census(B, q, bound) -> DensityReport:
     split = flags[q - 1 :: q].count(1) - sum(p % q == 1 for p in divisors)
     failing_count, failing = (0, ()) if vectors is None else \
         _failing_walk(_symbol_plan(B, vectors, q), q, flags, prod(B), _FAILING_LIST_CAP, True)
+    for p in failing:
+        if p % q != 1 or any(_euler(b, p, q) == 1 for b in B):
+            raise RuntimeError(f"census's failing prime {p} has a {q}-th power residue in the set")
+    if failing_count and not predicted:
+        raise RuntimeError(f"census counts {failing_count} failing primes where the predicted "
+                           "density is 0")
     checked = primes - excluded
     empirical = Fraction(failing_count, checked) if checked else Fraction(0)
     return DensityReport(

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import islice, product
@@ -17,7 +18,22 @@ from qresidue.arith import coprime_base
 from qresidue.cli import main
 
 
+def _parsed(parse, argv):
+    """What a parse path makes of argv: its json, command and values (in
+    their order), None if it declines, or the line of the usage error it
+    raises."""
+    try:
+        parsed = parse(list(argv))
+    except cli.UsageError as e:
+        return f"error: {e}"
+    return parsed and (*parsed[:2], list(parsed[2].items()))
+
+
 def run(capsys, *argv):
+    # every argv that the table path takes, argparse parses alike
+    plain = _parsed(cli._parse_plain, argv)
+    if plain is not None:
+        assert plain == _parsed(cli._parse_args, argv)
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -763,6 +779,11 @@ def test_failed_cli_self_checks_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "scan", "--q", "3", "--set", "2,3,6,12", "--bound", "100")
     assert (code, out) == (3, "")
     assert err == "internal error: RuntimeError: scan's prime 7 has a 3-th power residue in the set\n"
+    # and census's first failing prime, checked on every element as well
+    code, out, err = run(capsys, "census", "--q", "3", "--set", "2,3,6,12", "--bound", "100")
+    assert (code, out) == (3, "")
+    assert err == ("internal error: RuntimeError: census's failing prime 7 has a 3-th power "
+                   "residue in the set\n")
 
 
 def test_assignment_index_bytes_start_at_zero(monkeypatch):
@@ -941,3 +962,112 @@ def test_readme_cli_examples(capsys):
         code, env, err = run_json(capsys, *command.split())
         assert code == expected_code, (command, err)
         assert check(env["result"]), command
+
+
+def _benchmark_style_argvs(seed, count):
+    """Seeded plain argvs of every command, as the benchmark's ops write
+    them and more: flags in any order, as --flag=value or --flag value (a
+    value that starts with "-" joined by "="), optional flags left out, and
+    about one value in eight malformed, so that some argvs have two faults."""
+    rng = random.Random(seed)
+
+    def elements(size):
+        return ",".join(str(rng.choice([-1, 1]) * rng.randint(2, 400)) for _ in range(size))
+
+    def value(good, bad):
+        return rng.choice(bad) if rng.random() < 0.125 else good
+
+    def flags(command):
+        q = str(rng.choice([3, 5, 7]))
+        size = rng.randint(1, 6)
+        if command in ("decide", "certificate", "scan", "census"):
+            yield "--q", value(q, ["x", "4", "-3"])
+            yield "--set", value(elements(size), ["2,0", ",", "2,y"])
+        if command == "certificate" and rng.random() < 0.5:
+            yield "--c", value(",".join(str(rng.randint(1, 2)) for _ in range(size)), ["0", "1,z"])
+        if command in ("scan", "census"):
+            yield "--bound", value(str(rng.randint(2, 3000)), ["1", "10000001", "b"])
+        if command == "synthesize":
+            yield "--q", value(rng.choice(["3", "5"]), ["9", "q"])
+            yield "--k", value(str(rng.randint(2, 3)), ["1", "k"])
+            if rng.random() < 0.3:
+                yield "--primes", value("11,13,17", ["11,11,13", "11,p"])
+            if rng.random() < 0.5:
+                yield "--twists", value(rng.choice(["all", "3"]), ["0", "t"])
+        if command == "oracle-check":
+            yield "--q", value("3", ["2", "x"])
+            yield "--k-max", value(str(rng.randint(1, 2)), ["0", "k"])
+            yield "--l-max", value(str(rng.randint(1, 3)), ["-1", "l"])
+            if rng.random() < 0.7:
+                yield "--mode", rng.choice(["exhaustive", "random"])
+            if rng.random() < 0.5:
+                yield "--trials", value(str(rng.randint(1, 30)), ["0", "n"])
+        if command in ("synthesize", "oracle-check") and rng.random() < 0.5:
+            yield "--seed", value(str(rng.randint(0, 9)), ["s"])
+
+    argvs = []
+    for _ in range(count):
+        command = rng.choice(list(cli.COMMANDS))
+        pairs = list(flags(command))
+        rng.shuffle(pairs)
+        argv = ["--json"] if rng.random() < 0.5 else []
+        argv.append(command)
+        for flag, text in pairs:
+            joined = text.startswith("-") or rng.random() < 0.5
+            argv += [f"{flag}={text}"] if joined else [flag, text]
+        argvs.append(argv)
+    return argvs
+
+
+PARSE_CASES = [
+    # plain argvs: the table path takes each of them
+    *[(argv, True) for argv in _benchmark_style_argvs(39, 60)],
+    *[(command.split(), True) for command in README_EXAMPLES],
+    (["decide", "--q=3", "--set="], True),
+    (["decide", "--set", "", "--q", "3"], True),
+    (["decide", "--q", " 3", "--set", "2, 3,6,12"], True),
+    (["decide", "--q=3=4", "--set", "2"], True),
+    (["census", "--bound", "100", "--set", "2,3=6", "--q", "3"], True),
+    (["certificate", "--q", "3", "--set=2,3,6,12", "--c=-1,1,1,1"], True),
+    (["oracle-check", "--q", "3", "--k-max", "1", "--l-max", "2", "--mode=random"], True),
+    # a default (--mode) before a given flag in the envelope's input
+    (["--json", "oracle-check", "--trials", "5", "--q", "3", "--k-max", "1", "--l-max", "1"], True),
+    # two bad values: the first in argv order is named
+    (["decide", "--set", "2,x", "--q", "y"], True),
+    (["scan", "--bound=b", "--q", "3", "--set=2,0"], True),
+    # everything else: argparse parses it
+    (["decide", "--q", "3", "--se=2,3,6,12"], False),
+    (["decide", "--q", "3", "--se", "2,3,6,12"], False),
+    (["decide", "--q", "5", "--q", "3", "--set", "2,3,6,12"], False),
+    (["decide", "--json", "--q", "3", "--set", "2,3,6,12"], False),
+    (["--json", "--json", "decide", "--q", "3", "--set", "2,3,6,12"], False),
+    (["scan", "--q", "3", "--set", "-2,3", "--bound", "100"], False),
+    (["decide", "--q", "-3", "--set", "2"], False),
+    (["-h"], False),
+    (["decide", "-h"], False),
+    (["decide", "--q", "3"], False),
+    (["decide", "--q", "3", "--set"], False),
+    (["decide", "--q", "3", "--set", "2,3", "4"], False),
+    (["decide", "--q", "3", "--bound", "4", "--set", "2"], False),
+    (["oracle-check", "--q", "3", "--k-max", "1", "--l-max", "1", "--mode", "bogus"], False),
+    (["bogus"], False),
+    (["--json"], False),
+    ([], False),
+]
+
+
+def _answer(capsys, argv):
+    """Exit code, stdout without timing_ms, and stderr of main(argv)."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, re.sub(r', "timing_ms": [0-9.e+-]+}\n$', "}\n", out), err
+
+
+@pytest.mark.parametrize("argv, plain", PARSE_CASES)
+def test_both_parse_paths_answer_alike(capsys, monkeypatch, argv, plain):
+    # the table path takes every plain argv and no other, and main answers
+    # each argv alike whether or not the table path may take it
+    assert (_parsed(cli._parse_plain, argv) is not None) == plain
+    answer = _answer(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+    assert _answer(capsys, argv) == answer

@@ -71,24 +71,31 @@ def test_every_traced_name_resolves():
 
 def test_cli_import_leaves_out_what_only_some_commands_need():
     # A one-shot call pays for every module that importing the CLI loads:
-    # dataclasses brings inspect, ast and dis, and primescan (with fractions)
-    # serves only scan and census.  Only what the import itself adds counts,
-    # as an interpreter's site may load some of these before it.
+    # dataclasses brings inspect, ast and dis, primescan (with fractions)
+    # serves only scan and census, and argparse only an argv that is not
+    # plain, such as -h.  Only what the import itself adds counts, as an
+    # interpreter's site may load some of these before it.
     script = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import qresidue.cli\n"
         "added = sorted(sys.modules.keys() - before)\n"
-        "code = qresidue.cli.main(['census', '--q', '3', '--set', '2,3,6,12', '--bound', '1000'])\n"
-        "print(json.dumps([added, code, 'qresidue.primescan' in sys.modules]))\n"
+        "codes = [qresidue.cli.main(['decide', '--q', '3', '--set', '2,3,6,12'])]\n"
+        "decided = sorted(sys.modules.keys() - before)\n"
+        "codes.append(qresidue.cli.main(['census', '--q', '3', '--set', '2,3,6,12', '--bound', '1000']))\n"
+        "census = 'qresidue.primescan' in sys.modules\n"
+        "codes.append(qresidue.cli.main(['decide', '-h']))\n"
+        "print(json.dumps([added, decided, codes, census, 'argparse' in sys.modules]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
                           timeout=60, check=True)
-    added, code, census_loaded_primescan = json.loads(proc.stdout.splitlines()[-1])
+    added, decided, codes, census_loaded_primescan, help_loaded_argparse = json.loads(
+        proc.stdout.splitlines()[-1])
     assert "qresidue.cli" in added
-    assert {"dataclasses", "inspect", "fractions", "qresidue.primescan"}.isdisjoint(added)
-    assert code == 0 and census_loaded_primescan
+    assert {"dataclasses", "inspect", "fractions", "qresidue.primescan", "argparse"}.isdisjoint(added)
+    assert "argparse" not in decided
+    assert codes == [0, 0, 0] and census_loaded_primescan and help_loaded_argparse
 
 
 # Each result record, its fields by keyword, the field to change for an

@@ -156,6 +156,27 @@ def test_census_two_dim_density():
     assert rep.failing_primes[0] == 13
 
 
+def test_census_checks_what_it_reports(monkeypatch):
+    # a walk that lists 7, at which 6 is a cube, and one that counts a
+    # failing prime where the covering predicts none: both are internal errors
+    monkeypatch.setattr(primescan, "_fails", lambda plan, p, q: True)
+    with pytest.raises(RuntimeError, match="census's failing prime 7 has a 3-th power residue"):
+        census([2, 3, 6, 12], 3, 100)
+    monkeypatch.setattr(primescan, "_failing_walk", lambda *args: (1, ()))
+    with pytest.raises(RuntimeError, match="census counts 1 failing primes where the predicted "
+                                           "density is 0"):
+        census([2, 3, 6, 12], 3, 100)
+
+
+def test_census_checks_each_listed_prime_on_every_element(monkeypatch):
+    # 4 = 2^2 is left out of the symbol plan, so the walk makes one Euler
+    # test per split prime; the check adds one per element and listed prime
+    calls = _count_euler(monkeypatch)
+    rep = census([2, 4], 3, 20_000)  # a serial walk: its tests are counted here
+    assert len(rep.failing_primes) == 25 and rep.split_primes < 2 * primescan._SERIAL_PREFIX
+    assert sum(calls.values()) == rep.split_primes + 25 * 2
+
+
 def _no_scan(monkeypatch):
     # every prime the scans see, split or not, comes from this one sieve
     def fail(bound):
